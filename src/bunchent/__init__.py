@@ -22,13 +22,6 @@ from .bunching import (
     tripartite_triple,
 )
 from .errors import BunchentError, CapacityError, FileFormatError, InvariantError
-from .linalg import (
-    DensityDiagnostics,
-    EigenDecomposition,
-    diagnose_density,
-    hermitian_eig,
-    psd_sqrt,
-)
 from .measures import (
     EntanglementReport,
     binary_entropy,
@@ -40,12 +33,14 @@ from .measures import (
     survey_csv,
 )
 from .states import (
+    DensityDiagnostics,
     DensityMatrix,
     MixtureTerm,
     StateVector,
     bell_w_state,
     capacity_caps,
     densify,
+    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
@@ -67,7 +62,6 @@ __all__ = [
     "CapacityError",
     "DensityDiagnostics",
     "DensityMatrix",
-    "EigenDecomposition",
     "EntanglementReport",
     "FileFormatError",
     "InvariantError",
@@ -91,14 +85,12 @@ __all__ = [
     "eof",
     "eof_bunches",
     "ghz",
-    "hermitian_eig",
     "ket_basis",
     "load_state",
     "logical_index",
     "mix",
     "normalize",
     "partial_trace",
-    "psd_sqrt",
     "reduction_report",
     "save_state",
     "spin_flip",

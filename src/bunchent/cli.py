@@ -12,14 +12,12 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .bunching import BunchPartition, bunch_reduce, enumerate_partitions, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
-from .linalg import diagnose_density
 from .measures import (
     EntanglementReport,
     eof_bunches,
@@ -28,10 +26,14 @@ from .measures import (
     survey_csv,
 )
 from .states import (
+    _HERMITIAN_TOL,
+    _PSD_TOL,
+    _TRACE_TOL,
     DensityMatrix,
     StateVector,
     bell_w_state,
     densify,
+    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
@@ -41,44 +43,16 @@ from .states import (
     state_payload,
 )
 
-_TOL_HERMITIAN = 1e-10
-_TOL_TRACE = 1e-10
-_TOL_PSD = 1e-9
-
-
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    command: str
-    state_path: str | None = None
-    output_path: str | None = None
-    bunch_a: tuple[int, ...] | None = None
-    bunch_b: tuple[int, ...] | None = None
-    format: str = "json"
-    jobs: int = 1
-    full_cover: bool = False
-    max_bunch: int | None = None
-    tol_hermitian: float = _TOL_HERMITIAN
-    tol_trace: float = _TOL_TRACE
-    tol_psd: float = _TOL_PSD
-
-    def __post_init__(self) -> None:
-        if self.command in ("reduce", "eof"):
-            if self.bunch_a is None or self.bunch_b is None:
-                raise ValueError(f"{self.command} requires both --a and --b")
-        elif self.bunch_a is not None or self.bunch_b is not None:
-            raise ValueError(f"{self.command} does not accept a partition")
-        if self.jobs < 1:
-            raise ValueError(f"--jobs must be at least 1, got {self.jobs}")
-
-
 def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
     try:
         labels = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
     return labels
+
+
+def _bunch_labels(args: argparse.Namespace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    return _parse_labels(args.a, "--a"), _parse_labels(args.b, "--b")
 
 
 def _emit(text: str, output_path: str | None) -> None:
@@ -96,7 +70,7 @@ def _load_density(path: str) -> DensityMatrix:
     return state
 
 
-def _cmd_build(cfg: CommandConfig, args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "ghz":
         state: StateVector | DensityMatrix = ghz(args.n)
     elif args.kind == "bellw":
@@ -128,26 +102,26 @@ def _cmd_build(cfg: CommandConfig, args: argparse.Namespace) -> int:
         state = entanglement_molecule(args.m, args.n, args.w, weights)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown build kind {args.kind!r}")
-    _emit(json.dumps(state_payload(state)) + "\n", cfg.output_path)
+    _emit(json.dumps(state_payload(state)) + "\n", args.out)
     return 0
 
 
-def _cmd_reduce(cfg: CommandConfig) -> int:
-    if cfg.format != "json":
-        raise ValueError(f"reduce emits json only, got --format {cfg.format}")
-    rho = _load_density(cfg.state_path)
-    reduction = bunch_reduce(rho, BunchPartition(cfg.bunch_a, cfg.bunch_b))
-    _emit(json.dumps(reduction_report(reduction), indent=2) + "\n", cfg.output_path)
+def _cmd_reduce(args: argparse.Namespace) -> int:
+    bunch_a, bunch_b = _bunch_labels(args)
+    rho = _load_density(args.state)
+    reduction = bunch_reduce(rho, BunchPartition(bunch_a, bunch_b))
+    _emit(json.dumps(reduction_report(reduction), indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_eof(cfg: CommandConfig) -> int:
-    rho = _load_density(cfg.state_path)
-    report = eof_bunches(rho, BunchPartition(cfg.bunch_a, cfg.bunch_b))
+def _cmd_eof(args: argparse.Namespace) -> int:
+    bunch_a, bunch_b = _bunch_labels(args)
+    rho = _load_density(args.state)
+    report = eof_bunches(rho, BunchPartition(bunch_a, bunch_b))
     sys.stdout.write(f"concurrence {report.concurrence:.12f}\n")
     sys.stdout.write(f"eof {report.eof:.12f}\n")
-    if cfg.output_path is not None and cfg.output_path != "-":
-        _emit(json.dumps(report_json_dict(report), indent=2) + "\n", cfg.output_path)
+    if args.out is not None and args.out != "-":
+        _emit(json.dumps(report_json_dict(report), indent=2) + "\n", args.out)
     return 0
 
 
@@ -157,24 +131,26 @@ def _survey_worker(task) -> EntanglementReport:
     return eof_bunches(rho, BunchPartition(bunch_a, bunch_b))
 
 
-def _cmd_survey(cfg: CommandConfig) -> int:
-    rho = _load_density(cfg.state_path)
-    partitions = enumerate_partitions(rho.n_qubits, cfg.max_bunch, cfg.full_cover)
-    if cfg.jobs == 1:
+def _cmd_survey(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    rho = _load_density(args.state)
+    partitions = enumerate_partitions(rho.n_qubits, args.max_bunch, args.full_cover)
+    if args.jobs == 1:
         reports = [eof_bunches(rho, p) for p in partitions]
     else:
         tasks = [(rho.n_qubits, rho.entries, p.bunch_a, p.bunch_b) for p in partitions]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             reports = list(pool.map(_survey_worker, tasks))
-    if cfg.format == "csv":
-        _emit(survey_csv(reports), cfg.output_path)
+    if args.format == "csv":
+        _emit(survey_csv(reports), args.out)
     else:
-        _emit(json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n", cfg.output_path)
+        _emit(json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_check(cfg: CommandConfig) -> int:
-    kind, _, array = read_state_file(cfg.state_path)
+def _cmd_check(args: argparse.Namespace) -> int:
+    kind, _, array = read_state_file(args.state)
     if kind == "pure":
         array = np.outer(array, array.conj())
     diag = diagnose_density(array)
@@ -182,11 +158,11 @@ def _cmd_check(cfg: CommandConfig) -> int:
     sys.stdout.write(f"trace_defect {format_float(diag.trace_defect)}\n")
     sys.stdout.write(f"min_eigenvalue {format_float(diag.min_eigenvalue)}\n")
     failed = []
-    if diag.hermiticity_defect > cfg.tol_hermitian:
+    if diag.hermiticity_defect > args.tol_hermitian:
         failed.append(f"hermiticity_defect {format_float(diag.hermiticity_defect)}")
-    if diag.trace_defect > cfg.tol_trace:
+    if diag.trace_defect > args.tol_trace:
         failed.append(f"trace_defect {format_float(diag.trace_defect)}")
-    if diag.min_eigenvalue < -cfg.tol_psd:
+    if diag.min_eigenvalue < -args.tol_psd:
         failed.append(f"min_eigenvalue {format_float(diag.min_eigenvalue)}")
     if failed:
         raise InvariantError("; ".join(failed))
@@ -239,49 +215,25 @@ def _parser() -> argparse.ArgumentParser:
     survey_p.add_argument("--format", default="csv", choices=["csv", "json"])
     survey_p.add_argument("--jobs", type=int, default=1)
     survey_p.add_argument("--out", default="-")
-    check_p.add_argument("--tol-hermitian", type=float, default=_TOL_HERMITIAN)
-    check_p.add_argument("--tol-trace", type=float, default=_TOL_TRACE)
-    check_p.add_argument("--tol-psd", type=float, default=_TOL_PSD)
+    check_p.add_argument("--tol-hermitian", type=float, default=_HERMITIAN_TOL)
+    check_p.add_argument("--tol-trace", type=float, default=_TRACE_TOL)
+    check_p.add_argument("--tol-psd", type=float, default=_PSD_TOL)
     return parser
 
 
-def _config(args: argparse.Namespace) -> CommandConfig:
-    common = {"command": args.command}
-    if hasattr(args, "state"):
-        common["state_path"] = args.state
-    if getattr(args, "out", None) is not None:
-        common["output_path"] = args.out
-    if hasattr(args, "a"):
-        common["bunch_a"] = _parse_labels(args.a, "--a")
-        common["bunch_b"] = _parse_labels(args.b, "--b")
-    if hasattr(args, "format"):
-        common["format"] = args.format
-    if hasattr(args, "jobs"):
-        common["jobs"] = args.jobs
-    if hasattr(args, "full_cover"):
-        common["full_cover"] = args.full_cover
-    if hasattr(args, "max_bunch"):
-        common["max_bunch"] = args.max_bunch
-    if hasattr(args, "tol_hermitian"):
-        common["tol_hermitian"] = args.tol_hermitian
-        common["tol_trace"] = args.tol_trace
-        common["tol_psd"] = args.tol_psd
-    return CommandConfig(**common)
+_COMMANDS = {
+    "build": _cmd_build,
+    "reduce": _cmd_reduce,
+    "eof": _cmd_eof,
+    "survey": _cmd_survey,
+    "check": _cmd_check,
+}
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        if cfg.command == "build":
-            return _cmd_build(cfg, args)
-        if cfg.command == "reduce":
-            return _cmd_reduce(cfg)
-        if cfg.command == "eof":
-            return _cmd_eof(cfg)
-        if cfg.command == "survey":
-            return _cmd_survey(cfg)
-        return _cmd_check(cfg)
+        return _COMMANDS[args.command](args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,12 @@
 """Two-qubit entanglement measures applied to bunch reductions.
 
-Concurrence follows the spin-flip construction: with rt = sqrt(rho), the
-descending square roots l1 >= l2 >= l3 >= l4 of the eigenvalues of
-rt @ flipped(rho) @ rt give C = max(0, l1 - l2 - l3 - l4), and the
-entanglement of formation is h((1 + sqrt(1 - C^2)) / 2) with h the binary
-entropy.
+Concurrence follows Wootters' tau form (PRL 80, 2245 (1998)): factor
+rho = W W^dagger from its eigendecomposition, W = V sqrt(diag(w)); the
+singular values l1 >= l2 >= l3 >= l4 of W^T (sigma_y x sigma_y) W are the
+square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
+C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
+h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
+decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd).
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bunching import BunchPartition, bunch_reduce, enumerate_partitions
-from .errors import InvariantError
-from .linalg import diagnose_density, hermitian_eig
-from .states import DensityMatrix
+from .states import DensityMatrix, _check_density
 
 _INPUT_EIG_FLOOR = 1e-10   # most negative input eigenvalue tolerated
 _CHAIN_EIG_FLOOR = 1e-14   # clamp threshold inside the sqrt chain
@@ -76,15 +76,7 @@ def _as_two_qubit(rho) -> np.ndarray:
     mat = np.asarray(rho, dtype=np.complex128)
     if mat.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    diag = diagnose_density(mat)
-    if diag.hermiticity_defect > 1e-10:
-        raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
-    if diag.trace_defect > 1e-10:
-        raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
-    if diag.min_eigenvalue < -_INPUT_EIG_FLOOR:
-        raise InvariantError(
-            f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
-        )
+    _check_density(mat, _INPUT_EIG_FLOOR)
     return mat
 
 
@@ -97,22 +89,18 @@ def spin_flip(rho) -> np.ndarray:
 
 
 def _spin_flip_spectrum(mat: np.ndarray) -> tuple[float, ...]:
-    eig = hermitian_eig(mat)
-    vals = np.where(eig.eigenvalues < _CHAIN_EIG_FLOOR, 0.0, eig.eigenvalues)
-    root = (eig.eigenvectors * np.sqrt(vals)) @ eig.eigenvectors.conj().T
-    chained = root @ spin_flip(mat) @ root
-    chained = 0.5 * (chained + chained.conj().T)
-    squares = hermitian_eig(chained).eigenvalues
-    # the same floor as above: rounding residue must not leak into the
-    # lambdas, where its square root would dominate small concurrences
-    squares = np.where(squares < _CHAIN_EIG_FLOOR, 0.0, squares)
-    return tuple(float(v) for v in np.sqrt(squares))
+    w, v = np.linalg.eigh(mat)
+    w = np.where(w < _CHAIN_EIG_FLOOR, 0.0, w)
+    factor = v * np.sqrt(w)   # rho = factor @ factor^dagger
+    lam = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
+    # the floor applies to the squares, the eigenvalues of
+    # sqrt(rho) flipped(rho) sqrt(rho): lambdas below 1e-7 read as exactly 0
+    return tuple(float(x) for x in np.where(lam * lam < _CHAIN_EIG_FLOOR, 0.0, lam))
 
 
 def concurrence(rho) -> float:
     """Concurrence of a two-qubit density matrix (DensityMatrix or 4x4 array)."""
-    lam = _spin_flip_spectrum(_as_two_qubit(rho))
-    return max(0.0, min(1.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return eof(rho).concurrence
 
 
 def _report(

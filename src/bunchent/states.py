@@ -26,6 +26,7 @@ MAX_PURE_QUBITS = 16
 CAPACITY_ENV = "BUNCHENT_MAX_QUBITS"
 
 _NORM_TOL = 1e-12
+# the density-matrix contract, shared by measures and the CLI check
 _HERMITIAN_TOL = 1e-10
 _TRACE_TOL = 1e-10
 _PSD_TOL = 1e-9
@@ -66,6 +67,43 @@ def _check_mixed_cap(n_qubits: int) -> None:
         )
 
 
+@dataclass(frozen=True)
+class DensityDiagnostics:
+    """How far a matrix sits from the density-matrix contract."""
+
+    hermiticity_defect: float
+    trace_defect: float
+    min_eigenvalue: float
+
+
+def diagnose_density(matrix) -> DensityDiagnostics:
+    """Measure hermiticity, trace and positivity defects of a candidate density matrix.
+
+    The minimum eigenvalue is taken on the Hermitian part, so the verdict
+    stays meaningful for inputs with small asymmetries.
+    """
+    m = np.asarray(getattr(matrix, "entries", matrix), dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    herm = float(np.abs(m - m.conj().T).max())
+    trace = float(abs(m.trace() - 1.0))
+    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    return DensityDiagnostics(herm, trace, min_eig)
+
+
+def _check_density(matrix: np.ndarray, psd_tol: float = _PSD_TOL) -> None:
+    """Raise InvariantError on the first contract defect: hermiticity, trace, positivity."""
+    diag = diagnose_density(matrix)
+    if diag.hermiticity_defect > _HERMITIAN_TOL:
+        raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
+    if diag.trace_defect > _TRACE_TOL:
+        raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
+    if diag.min_eigenvalue < -psd_tol:
+        raise InvariantError(
+            f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of n_qubits qubits as a flat amplitude vector.
@@ -80,11 +118,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        cap = capacity_caps()[1]
-        if self.n_qubits > cap:
-            raise CapacityError(
-                f"pure state on {self.n_qubits} qubits exceeds the dense cap of {cap}"
-            )
+        _check_pure_cap(self.n_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != 2 ** self.n_qubits:
             raise ValueError(
@@ -110,24 +144,12 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        cap = capacity_caps()[0]
-        if self.n_qubits > cap:
-            raise CapacityError(
-                f"density matrix on {self.n_qubits} qubits exceeds the dense cap of {cap}"
-            )
+        _check_mixed_cap(self.n_qubits)
         mat = np.array(self.entries, dtype=np.complex128)
         d = 2 ** self.n_qubits
         if mat.shape != (d, d):
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
-        herm = float(np.abs(mat - mat.conj().T).max())
-        if herm > _HERMITIAN_TOL:
-            raise InvariantError(f"not Hermitian: max asymmetry {herm:.3e}")
-        tr = float(abs(mat.trace() - 1.0))
-        if tr > _TRACE_TOL:
-            raise InvariantError(f"trace deviates from 1 by {tr:.3e}")
-        min_eig = float(np.linalg.eigvalsh(0.5 * (mat + mat.conj().T))[0])
-        if min_eig < -_PSD_TOL:
-            raise InvariantError(f"not positive semidefinite: min eigenvalue {min_eig:.3e}")
+        _check_density(mat)
         object.__setattr__(self, "entries", _freeze(mat))
 
     @property

@@ -26,11 +26,6 @@ def random_mixed(rng: np.random.Generator, n_qubits: int, rank: int | None = Non
     return DensityMatrix(n_qubits, gram / gram.trace().real)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return 0.5 * (g + g.conj().T)
-
-
 def random_partition(rng: np.random.Generator, n_qubits: int) -> BunchPartition:
     pool = enumerate_partitions(n_qubits)
     return pool[int(rng.integers(len(pool)))]

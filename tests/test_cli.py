@@ -151,6 +151,13 @@ def test_exit_code_usage_error(ghz3, capsys):
     assert err.count("\n") == 1
 
 
+def test_survey_rejects_zero_jobs(ghz3, capsys):
+    assert main(["survey", ghz3, "--jobs", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_capacity(capsys):
     assert main(["build", "ghz", "--n", "40"]) == 3
     assert "exceeds the dense cap" in capsys.readouterr().err

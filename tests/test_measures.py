@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
@@ -168,6 +170,31 @@ def test_eof_consistent_with_concurrence(rng):
         want = binary_entropy((1.0 + math.sqrt(1.0 - report.concurrence**2)) / 2.0)
         assert report.eof == pytest.approx(want, abs=1e-12)
         assert report.lambdas == tuple(sorted(report.lambdas, reverse=True))
+
+
+def _lambdas_eigen_route(mat: np.ndarray) -> np.ndarray:
+    """Descending square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho),
+    with sqrt(rho) from np.linalg.eigh and the chain's 1e-14 floor on both spectra."""
+    w, v = np.linalg.eigh(mat)
+    w = np.where(w < 1e-14, 0.0, w)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    chained = root @ spin_flip(mat) @ root
+    squares = np.linalg.eigvalsh(0.5 * (chained + chained.conj().T))[::-1]
+    return np.sqrt(np.where(squares < 1e-14, 0.0, squares))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
+def test_tau_form_matches_eigen_route(seed, rank):
+    # rank-deficient inputs leave zero columns in the tau-form factor W
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+    gram = g @ g.conj().T
+    mat = gram / gram.trace().real
+    lam = np.array(eof(mat).lambdas)
+    assert np.abs(lam - _lambdas_eigen_route(mat)).max() < 1e-10
+    assert np.all(lam >= 0.0)
+    assert np.all(np.diff(lam) <= 0.0)
 
 
 def test_input_validation():

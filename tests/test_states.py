@@ -19,6 +19,7 @@ from bunchent import (
     bell_w_state,
     capacity_caps,
     densify,
+    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
@@ -160,6 +161,24 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         DensityMatrix(2, np.eye(2) / 2.0)
+
+
+def test_diagnose_density_clean_state():
+    diag = diagnose_density(np.diag([0.5, 0.5]))
+    assert diag.hermiticity_defect == 0.0
+    assert diag.trace_defect == 0.0
+    assert diag.min_eigenvalue == pytest.approx(0.5)
+
+
+def test_diagnose_density_reports_defects():
+    asym = np.array([[1.0, 0.2], [0.0, 0.0]])
+    diag = diagnose_density(asym)
+    assert diag.hermiticity_defect == pytest.approx(0.2)
+    assert diag.trace_defect == 0.0
+    assert diag.min_eigenvalue < 0.0
+
+    off_trace = np.diag([0.6, 0.5])
+    assert diagnose_density(off_trace).trace_defect == pytest.approx(0.1)
 
 
 def test_mixture_term_weight_range():
