@@ -9,7 +9,9 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -19,7 +21,6 @@ import numpy as np
 from .bunching import BunchPartition, bunch_reduce, enumerate_partitions, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
 from .measures import (
-    EntanglementReport,
     eof_bunches,
     format_float,
     report_json_dict,
@@ -125,12 +126,6 @@ def _cmd_eof(args: argparse.Namespace) -> int:
     return 0
 
 
-def _survey_worker(task) -> EntanglementReport:
-    n_qubits, entries, bunch_a, bunch_b = task
-    rho = DensityMatrix(n_qubits, entries)
-    return eof_bunches(rho, BunchPartition(bunch_a, bunch_b))
-
-
 def _cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
@@ -139,9 +134,10 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs == 1:
         reports = [eof_bunches(rho, p) for p in partitions]
     else:
-        tasks = [(rho.n_qubits, rho.entries, p.bunch_a, p.bunch_b) for p in partitions]
+        # one pickled copy of rho per chunk, not per split
+        chunk = math.ceil(len(partitions) / args.jobs)
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_survey_worker, tasks))
+            reports = list(pool.map(functools.partial(eof_bunches, rho), partitions, chunksize=chunk))
     if args.format == "csv":
         _emit(survey_csv(reports), args.out)
     else:

@@ -157,6 +157,15 @@ class DensityMatrix:
         return self.entries.shape[0]
 
 
+def _derived(n_qubits: int, entries: np.ndarray) -> DensityMatrix:
+    """Freeze a matrix derived from validated states, without re-checking
+    the contract: only densify, mix, partial_trace and bunch_reduce use it."""
+    rho = object.__new__(DensityMatrix)
+    object.__setattr__(rho, "n_qubits", n_qubits)
+    object.__setattr__(rho, "entries", _freeze(entries))
+    return rho
+
+
 @dataclass(frozen=True)
 class MixtureTerm:
     """One weighted pure component of a mixture."""
@@ -264,7 +273,7 @@ def densify(psi: StateVector) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
     _check_mixed_cap(psi.n_qubits)
     amps = psi.amplitudes
-    return DensityMatrix(psi.n_qubits, np.outer(amps, amps.conj()))
+    return _derived(psi.n_qubits, np.outer(amps, amps.conj()))
 
 
 def mix(terms: Sequence[tuple[float, DensityMatrix]]) -> DensityMatrix:
@@ -282,7 +291,7 @@ def mix(terms: Sequence[tuple[float, DensityMatrix]]) -> DensityMatrix:
     total = np.zeros_like(terms[0][1].entries)
     for w, rho in terms:
         total = total + w * rho.entries
-    return DensityMatrix(n, total)
+    return _derived(n, total)
 
 
 def entanglement_molecule(
@@ -332,7 +341,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     out = kept + [n + q for q in kept]
     reduced = np.einsum(tens, subs, out)
     d = 2 ** len(keep)
-    return DensityMatrix(len(keep), reduced.reshape(d, d))
+    return _derived(len(keep), reduced.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
@@ -11,16 +13,19 @@ from bunchent import (
     bunch_reduce,
     compress_operator,
     densify,
+    diagnose_density,
     enumerate_partitions,
     enumerate_patterns,
     ghz,
     logical_index,
+    mix,
     normalize,
     partial_trace,
     reduction_report,
     tripartite_triple,
 )
-from helpers import random_mixed, random_partition, tripartite_oracle
+from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
+from helpers import random_mixed, random_partition, random_pure, tripartite_oracle
 
 _BELL_PROJECTOR = np.array(
     [
@@ -158,7 +163,7 @@ def test_w_state_reduction_frozen():
 
 
 def test_eta_sum_and_reassembly(rng):
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6):
         for _ in range(10):
             rho = random_mixed(rng, n)
             part = random_partition(rng, n)
@@ -171,6 +176,61 @@ def test_eta_sum_and_reassembly(rng):
                 if c.rho_pattern is not None
             )
             assert np.abs(rebuilt - red.rho_ab.entries).max() < 1e-12
+
+
+def _assert_meets_contract(state):
+    diag = diagnose_density(state)
+    assert diag.hermiticity_defect <= _HERMITIAN_TOL
+    assert diag.trace_defect <= _TRACE_TOL
+    assert diag.min_eigenvalue >= -_PSD_TOL
+    assert not state.entries.flags.writeable
+
+
+def _oracle_blocks(rho, part):
+    """Partial trace onto the bunched qubits, relabelled 1..m+n, then one
+    compress_operator per pattern: the reduction's two stages taken apart."""
+    keep = sorted(part.labels)
+    pos = {lab: t + 1 for t, lab in enumerate(keep)}
+    local = BunchPartition(
+        tuple(pos[x] for x in part.bunch_a), tuple(pos[x] for x in part.bunch_b)
+    )
+    reduced = partial_trace(rho, keep)
+    return [compress_operator(reduced, local, p) for p in enumerate_patterns(local)]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    rank=st.sampled_from([1, 2, None]),
+)
+def test_derived_states_meet_contract(seed, n, rank):
+    # derived states skip the constructor's check, so the contract is
+    # asserted here on every path that builds one
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, n, rank)
+    pure = densify(random_pure(rng, n))
+    weight = float(rng.uniform(0.1, 0.9))
+    mixed = mix([(weight, rho), (1.0 - weight, pure)])
+    keep = sorted(int(x) + 1 for x in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
+    # any bunch sizes, any anchors, partial covers included
+    labels = [int(x) + 1 for x in rng.permutation(n)[: int(rng.integers(2, n + 1))]]
+    cut = int(rng.integers(1, len(labels)))
+    part = BunchPartition(tuple(labels[:cut]), tuple(labels[cut:]))
+    red = bunch_reduce(mixed, part)
+    derived = [pure, mixed, partial_trace(mixed, keep), red.rho_ab]
+    derived += [c.rho_pattern for c in red.components if c.rho_pattern is not None]
+    for state in derived:
+        _assert_meets_contract(state)
+
+    blocks = _oracle_blocks(mixed, part)
+    assert len(blocks) == len(red.components)
+    assert np.abs(sum(blocks) - red.rho_ab.entries).max() < 1e-13
+    for block, pattern, comp in zip(blocks, enumerate_patterns(part), red.components):
+        assert comp.pattern == pattern
+        assert abs(comp.eta - block.trace().real) < 1e-13
+        if comp.rho_pattern is not None:
+            assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
 
 
 def test_singleton_pair_equals_partial_trace(rng):

@@ -7,8 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from bunchent import load_state
+from bunchent import load_state, save_state
 from bunchent.cli import main
+from helpers import random_mixed
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +96,7 @@ def test_reduce_report(ghz3, capsys):
     assert rho[0, 3] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_survey_csv_and_jobs_determinism(ghz3, capsys):
+def test_survey_csv_and_jobs_determinism(ghz3, tmp_path, rng, capsys):
     assert main(["survey", ghz3, "--full-cover"]) == 0
     serial = capsys.readouterr().out
     lines = serial.strip().split("\n")
@@ -109,6 +110,16 @@ def test_survey_csv_and_jobs_determinism(ghz3, capsys):
 
     assert main(["survey", ghz3, "--full-cover", "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+    # 25 splits of a mixed state: --jobs 3 makes uneven chunks of 9, 9, 7
+    path = tmp_path / "mixed4.json"
+    save_state(random_mixed(rng, 4), path)
+    assert main(["survey", str(path)]) == 0
+    serial = capsys.readouterr().out
+    assert serial.count("\n") == 26
+    for jobs in ("2", "3"):
+        assert main(["survey", str(path), "--jobs", jobs]) == 0
+        assert capsys.readouterr().out == serial
 
 
 def test_survey_json_format(ghz3, capsys):
@@ -164,12 +175,25 @@ def test_exit_code_capacity(capsys):
 
 
 def test_exit_code_invariant(tmp_path, capsys):
+    # load_state is the only check a surveyed or measured input meets
     path = tmp_path / "bad.json"
     payload = {"kind": "pure", "n_qubits": 1, "amplitudes": [[1.0, 0.0], [1.0, 0.0]]}
     path.write_text(json.dumps(payload))
-    assert main(["eof", str(path), "--a", "1", "--b", "2"]) == 4
-    assert main(["reduce", str(path), "--a", "1", "--b", "2"]) == 4
-    capsys.readouterr()
+    not_psd = tmp_path / "not_psd.json"
+    matrix = np.diag([1.5, -0.5, 0.0, 0.0])
+    payload = {"kind": "mixed", "n_qubits": 2, "matrix": [[[x, 0.0] for x in row] for row in matrix]}
+    not_psd.write_text(json.dumps(payload))
+    for argv in (
+        ["eof", str(path), "--a", "1", "--b", "2"],
+        ["reduce", str(path), "--a", "1", "--b", "2"],
+        ["survey", str(path)],
+        ["survey", str(not_psd)],
+        ["eof", str(not_psd), "--a", "1", "--b", "2"],
+    ):
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 def test_exit_code_file_problems(tmp_path, capsys):
