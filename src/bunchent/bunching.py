@@ -10,9 +10,11 @@ pattern subspace and sums the compressed blocks into a single two-qubit
 operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
-Both stages pick entries of rho by basis index, so bunch_reduce takes them
-in one gather; logical_index, build_projector and compress_operator keep
-the stage-by-stage reference. Only caller data is validated.
+Both stages pick entries of rho by basis index, so _pattern_blocks takes
+them in one gather; logical_index, build_projector and compress_operator
+keep the stage-by-stage reference. bunch_reduce wraps the blocks in
+pattern objects; a survey keeps only each split's rho_ab and weights.
+Only caller data is validated.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .states import DensityMatrix, _derived
+from .states import _ETA_FLOOR, DensityMatrix, _derived
 
-_ETA_FLOOR = 1e-14
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -137,10 +138,7 @@ def logical_index(
     bits[partition.bunch_b[0] - 1] = j
     for lab, flip in zip(partition.bunch_b[1:], pattern.mask_b):
         bits[lab - 1] = j ^ flip
-    index = 0
-    for bit in bits:
-        index = 2 * index + bit
-    return index
+    return sum(bit << (size - k) for k, bit in enumerate(bits, 1))
 
 
 def build_projector(partition: BunchPartition, pattern: PatternPair) -> np.ndarray:
@@ -172,8 +170,8 @@ def compress_operator(
     return mat[np.ix_(idx, idx)].copy()
 
 
-def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReduction:
-    """Reduce a state onto a bunch pair: partial trace, then pattern sums.
+def _pattern_blocks(rho: DensityMatrix, partition: BunchPartition) -> np.ndarray:
+    """The (P, 4, 4) pattern blocks of rho, in enumerate_patterns order.
 
     Both stages are one gather through a (2^(n-2), 4) table of basis
     indices of rho. A row's bits are the flip bits of the non-anchor
@@ -181,8 +179,6 @@ def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReductio
     bits in ascending label order; column 2i+j xors logical i into every
     qubit of bunch A and j into every qubit of bunch B. Summing the 4x4
     blocks over a pattern's outsider rows gives that pattern's block.
-    Patterns whose weight falls below 1e-14 are reported with eta 0 and no
-    normalized block.
     """
     labels = partition.labels
     if max(labels) > rho.n_qubits:
@@ -196,19 +192,30 @@ def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReductio
     base = ((rows[:, None] >> np.arange(free.size - 1, -1, -1)) & 1) @ (1 << (n - free))
     flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
     table = base[:, None] ^ np.array([0, flip_b, flip_a, flip_a ^ flip_b])
-    patterns = enumerate_patterns(partition)
     blocks = rho.entries[table[:, :, None], table[:, None, :]]
-    blocks = blocks.reshape(len(patterns), -1, 4, 4).sum(axis=1)
-    components = []
-    for pattern, block in zip(patterns, blocks):
-        eta = float(block.trace().real)
-        if eta < _ETA_FLOOR:
-            components.append(ReductionComponent(pattern, 0.0, None))
-        else:
-            components.append(
-                ReductionComponent(pattern, eta, _derived(2, block / eta))
-            )
-    return BunchReduction(partition, _derived(2, blocks.sum(axis=0)), tuple(components))
+    return blocks.reshape(2 ** (len(labels) - 2), -1, 4, 4).sum(axis=1)
+
+
+def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
+    """Each block's trace eta, with weights below 1e-14 set to exactly 0."""
+    etas = blocks.trace(axis1=1, axis2=2).real
+    return np.where(etas < _ETA_FLOOR, 0.0, etas)
+
+
+def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReduction:
+    """Reduce a state onto a bunch pair: partial trace, then pattern sums.
+
+    Patterns whose weight falls below 1e-14 are reported with eta 0 and no
+    normalized block.
+    """
+    blocks = _pattern_blocks(rho, partition)
+    components = tuple(
+        ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
+        for pattern, block, eta in zip(
+            enumerate_patterns(partition), blocks, _pattern_weights(blocks).tolist()
+        )
+    )
+    return BunchReduction(partition, _derived(2, blocks.sum(axis=0)), components)
 
 
 def tripartite_triple(

@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
@@ -20,18 +21,15 @@ import numpy as np
 
 from .bunching import BunchPartition, bunch_reduce, enumerate_partitions, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
-from .measures import (
-    eof_bunches,
-    format_float,
-    report_json_dict,
-    survey_csv,
-)
+from .measures import _measure_splits, eof_bunches, format_float, report_json_dict, survey_csv
 from .states import (
     _HERMITIAN_TOL,
     _PSD_TOL,
     _TRACE_TOL,
     DensityMatrix,
     StateVector,
+    _check_mixed_cap,
+    _check_pure_cap,
     bell_w_state,
     densify,
     diagnose_density,
@@ -46,10 +44,9 @@ from .states import (
 
 def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
     try:
-        labels = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    return labels
 
 
 def _bunch_labels(args: argparse.Namespace) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -132,12 +129,16 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     rho = _load_density(args.state)
     partitions = enumerate_partitions(rho.n_qubits, args.max_bunch, args.full_cover)
     if args.jobs == 1:
-        reports = [eof_bunches(rho, p) for p in partitions]
+        reports = _measure_splits(rho, partitions)
     else:
-        # one pickled copy of rho per chunk, not per split
-        chunk = math.ceil(len(partitions) / args.jobs)
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(functools.partial(eof_bunches, rho), partitions, chunksize=chunk))
+        # one pickled copy of rho and one stacked chain per chunk
+        size = max(1, math.ceil(len(partitions) / args.jobs))
+        chunks = [partitions[k:k + size] for k in range(0, len(partitions), size)]
+        # fork starts every worker at the first submit, so never more than the cores
+        workers = max(1, min(args.jobs, len(chunks), os.cpu_count() or 1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(functools.partial(_measure_splits, rho), chunks)
+            reports = [report for part in parts for report in part]
     if args.format == "csv":
         _emit(survey_csv(reports), args.out)
     else:
@@ -148,6 +149,9 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     kind, _, array = read_state_file(args.state)
     if kind == "pure":
+        n_qubits = (array.size - 1).bit_length()
+        _check_pure_cap(n_qubits)
+        _check_mixed_cap(n_qubits)
         array = np.outer(array, array.conj())
     diag = diagnose_density(array)
     sys.stdout.write(f"hermiticity_defect {format_float(diag.hermiticity_defect)}\n")

@@ -6,7 +6,9 @@ singular values l1 >= l2 >= l3 >= l4 of W^T (sigma_y x sigma_y) W are the
 square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
 C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
 h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
-decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd).
+decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
+stack of states: a survey gathers each split's rho_ab on its own, then
+measures the whole list of splits with one eigh and one svd.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bunching import BunchPartition, bunch_reduce, enumerate_partitions
-from .states import DensityMatrix, _check_density
-
-_INPUT_EIG_FLOOR = 1e-10   # most negative input eigenvalue tolerated
-_CHAIN_EIG_FLOOR = 1e-14   # clamp threshold inside the sqrt chain
+from .bunching import BunchPartition, _pattern_blocks, _pattern_weights, enumerate_partitions
+from .states import _CHAIN_EIG_FLOOR, _INPUT_EIG_FLOOR, DensityMatrix, _check_density
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -88,14 +87,15 @@ def spin_flip(rho) -> np.ndarray:
     return _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
 
 
-def _spin_flip_spectrum(mat: np.ndarray) -> tuple[float, ...]:
-    w, v = np.linalg.eigh(mat)
+def _spin_flip_spectrum(mats: np.ndarray) -> np.ndarray:
+    """Descending lambdas, shape (S, 4), of a (S, 4, 4) stack of states."""
+    w, v = np.linalg.eigh(mats)
     w = np.where(w < _CHAIN_EIG_FLOOR, 0.0, w)
-    factor = v * np.sqrt(w)   # rho = factor @ factor^dagger
-    lam = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)
+    factor = v * np.sqrt(w)[:, None, :]   # rho = factor @ factor^dagger
+    lam = np.linalg.svd(factor.swapaxes(1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
     # the floor applies to the squares, the eigenvalues of
     # sqrt(rho) flipped(rho) sqrt(rho): lambdas below 1e-7 read as exactly 0
-    return tuple(float(x) for x in np.where(lam * lam < _CHAIN_EIG_FLOOR, 0.0, lam))
+    return np.where(lam * lam < _CHAIN_EIG_FLOOR, 0.0, lam)
 
 
 def concurrence(rho) -> float:
@@ -104,11 +104,11 @@ def concurrence(rho) -> float:
 
 
 def _report(
-    mat: np.ndarray,
+    lambdas: np.ndarray,
     partition: BunchPartition | None = None,
     etas: tuple[float, ...] | None = None,
 ) -> EntanglementReport:
-    lam = _spin_flip_spectrum(mat)
+    lam = tuple(lambdas.tolist())
     conc = max(0.0, min(1.0, lam[0] - lam[1] - lam[2] - lam[3]))
     formation = binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))) / 2.0)
     return EntanglementReport(conc, formation, lam, partition, etas)
@@ -116,23 +116,36 @@ def _report(
 
 def eof(rho) -> EntanglementReport:
     """Entanglement report for a two-qubit density matrix."""
-    return _report(_as_two_qubit(rho))
+    return _report(_spin_flip_spectrum(_as_two_qubit(rho)[None])[0])
+
+
+def _measure_splits(
+    rho: DensityMatrix, partitions: list[BunchPartition]
+) -> list[EntanglementReport]:
+    """Reports for a list of splits, in order: each split is gathered and
+    summed on its own, then one chain runs on the stack of rho_abs."""
+    stack = np.empty((len(partitions), 4, 4), dtype=np.complex128)
+    etas = []
+    for k, partition in enumerate(partitions):
+        blocks = _pattern_blocks(rho, partition)
+        stack[k] = blocks.sum(axis=0)
+        etas.append(tuple(_pattern_weights(blocks).tolist()))
+    return [
+        _report(lam, partition, eta)
+        for lam, partition, eta in zip(_spin_flip_spectrum(stack), partitions, etas)
+    ]
 
 
 def eof_bunches(rho: DensityMatrix, partition: BunchPartition) -> EntanglementReport:
     """Reduce onto a bunch pair and measure the resulting two-qubit state."""
-    reduction = bunch_reduce(rho, partition)
-    return _report(np.asarray(reduction.rho_ab.entries), partition, reduction.etas)
+    return _measure_splits(rho, [partition])[0]
 
 
 def survey(
     rho: DensityMatrix, max_bunch: int | None = None, full_cover: bool = False
 ) -> list[EntanglementReport]:
     """Measure every bunch pair of a state, in enumeration order."""
-    return [
-        eof_bunches(rho, partition)
-        for partition in enumerate_partitions(rho.n_qubits, max_bunch, full_cover)
-    ]
+    return _measure_splits(rho, enumerate_partitions(rho.n_qubits, max_bunch, full_cover))
 
 
 # ---------------------------------------------------------------------------
@@ -170,19 +183,12 @@ def survey_csv(reports: list[EntanglementReport]) -> str:
     """
     lines = ["bunch_a,bunch_b,m,n,concurrence,eof,eta_list"]
     for rep in reports:
-        if rep.partition is None or rep.etas is None:
+        part = rep.partition
+        if part is None or rep.etas is None:
             raise ValueError("survey rows need partition context")
+        etas = ";".join(format_float(e) for e in rep.etas)
         lines.append(
-            ",".join(
-                [
-                    _join_labels(rep.partition.bunch_a),
-                    _join_labels(rep.partition.bunch_b),
-                    str(rep.partition.m),
-                    str(rep.partition.n),
-                    format_float(rep.concurrence),
-                    format_float(rep.eof),
-                    ";".join(format_float(e) for e in rep.etas),
-                ]
-            )
+            f"{_join_labels(part.bunch_a)},{_join_labels(part.bunch_b)},{part.m},{part.n},"
+            f"{format_float(rep.concurrence)},{format_float(rep.eof)},{etas}"
         )
     return "\n".join(lines) + "\n"

@@ -25,11 +25,14 @@ MAX_MIXED_QUBITS = 10
 MAX_PURE_QUBITS = 16
 CAPACITY_ENV = "BUNCHENT_MAX_QUBITS"
 
-_NORM_TOL = 1e-12
-# the density-matrix contract, shared by measures and the CLI check
-_HERMITIAN_TOL = 1e-10
-_TRACE_TOL = 1e-10
-_PSD_TOL = 1e-9
+# every tolerance and floor of the package
+_NORM_TOL = 1e-12          # |squared norm - 1| of a pure state
+_HERMITIAN_TOL = 1e-10     # density contract: max |rho - rho^dagger|
+_TRACE_TOL = 1e-10         # density contract: |trace - 1|
+_PSD_TOL = 1e-9            # density contract: most negative eigenvalue
+_INPUT_EIG_FLOOR = 1e-10   # most negative eigenvalue of a raw 4x4 eof input
+_ETA_FLOOR = 1e-14         # pattern weights below it read as exactly 0
+_CHAIN_EIG_FLOOR = 1e-14   # eigenvalues and lambda^2 in the chain read as 0 below it
 
 
 def capacity_caps() -> tuple[int, int]:
@@ -198,10 +201,7 @@ def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    index = 0
-    for b in bits:
-        index = 2 * index + b
-    amps[index] = 1.0
+    amps[sum(b << (n_qubits - k) for k, b in enumerate(bits, 1))] = 1.0
     return StateVector(n_qubits, amps)
 
 
@@ -258,13 +258,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
     _check_pure_cap(m_total)
     amps = np.zeros(2 ** m_total, dtype=np.complex128)
     for flip in (0, 1):
-        index = 0
-        for lab in range(1, m_total + 1):
-            if lab in subset:
-                bit = (0 if subset.index(lab) < w else 1) ^ flip
-            else:
-                bit = 0
-            index = 2 * index + bit
+        index = sum(((k >= w) ^ flip) << (m_total - lab) for k, lab in enumerate(subset))
         amps[index] = 1.0 / math.sqrt(2.0)
     return StateVector(m_total, amps)
 
@@ -288,10 +282,7 @@ def mix(terms: Sequence[tuple[float, DensityMatrix]]) -> DensityMatrix:
     n = terms[0][1].n_qubits
     if any(rho.n_qubits != n for _, rho in terms):
         raise ValueError("all mixture terms must share the same qubit count")
-    total = np.zeros_like(terms[0][1].entries)
-    for w, rho in terms:
-        total = total + w * rho.entries
-    return _derived(n, total)
+    return _derived(n, sum(w * rho.entries for w, rho in terms))
 
 
 def entanglement_molecule(
@@ -347,26 +338,16 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # state files
 
-def _complex_pairs(array: np.ndarray) -> list:
-    stacked = np.stack([array.real, array.imag], axis=-1)
-    return stacked.tolist()
-
-
 def state_payload(state: StateVector | DensityMatrix) -> dict:
     """JSON-ready form of a state, with [re, im] pairs for every entry."""
     if isinstance(state, StateVector):
-        return {
-            "kind": "pure",
-            "n_qubits": state.n_qubits,
-            "amplitudes": _complex_pairs(state.amplitudes),
-        }
-    if isinstance(state, DensityMatrix):
-        return {
-            "kind": "mixed",
-            "n_qubits": state.n_qubits,
-            "matrix": _complex_pairs(state.entries),
-        }
-    raise ValueError(f"cannot serialize object of type {type(state).__name__}")
+        kind, field, array = "pure", "amplitudes", state.amplitudes
+    elif isinstance(state, DensityMatrix):
+        kind, field, array = "mixed", "matrix", state.entries
+    else:
+        raise ValueError(f"cannot serialize object of type {type(state).__name__}")
+    pairs = np.stack([array.real, array.imag], axis=-1).tolist()
+    return {"kind": kind, "n_qubits": state.n_qubits, field: pairs}
 
 
 def save_state(state: StateVector | DensityMatrix, path) -> None:

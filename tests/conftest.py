@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: reproducible draws, no example
+# database on disk, no per-example deadline
+settings.register_profile("bunchent", derandomize=True, database=None, deadline=None)
+settings.load_profile("bunchent")
 
 
 @pytest.fixture

@@ -8,7 +8,15 @@ from itertools import product
 
 import numpy as np
 
-from bunchent import BunchPartition, DensityMatrix, StateVector, enumerate_partitions
+from bunchent import (
+    BunchPartition,
+    DensityMatrix,
+    StateVector,
+    compress_operator,
+    enumerate_partitions,
+    enumerate_patterns,
+    partial_trace,
+)
 
 
 def random_pure(rng: np.random.Generator, n_qubits: int) -> StateVector:
@@ -29,6 +37,25 @@ def random_mixed(rng: np.random.Generator, n_qubits: int, rank: int | None = Non
 def random_partition(rng: np.random.Generator, n_qubits: int) -> BunchPartition:
     pool = enumerate_partitions(n_qubits)
     return pool[int(rng.integers(len(pool)))]
+
+
+def random_split(rng: np.random.Generator, n_qubits: int) -> BunchPartition:
+    """Any bunch sizes, any anchors, partial covers included."""
+    labels = [int(x) + 1 for x in rng.permutation(n_qubits)[: int(rng.integers(2, n_qubits + 1))]]
+    cut = int(rng.integers(1, len(labels)))
+    return BunchPartition(tuple(labels[:cut]), tuple(labels[cut:]))
+
+
+def oracle_blocks(rho: DensityMatrix, part: BunchPartition) -> list[np.ndarray]:
+    """Partial trace onto the bunched qubits, relabelled 1..m+n, then one
+    compress_operator per pattern: the reduction's two stages taken apart."""
+    keep = sorted(part.labels)
+    pos = {lab: t + 1 for t, lab in enumerate(keep)}
+    local = BunchPartition(
+        tuple(pos[x] for x in part.bunch_a), tuple(pos[x] for x in part.bunch_b)
+    )
+    reduced = partial_trace(rho, keep)
+    return [compress_operator(reduced, local, p) for p in enumerate_patterns(local)]
 
 
 def tripartite_oracle(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bunchent import (
@@ -25,7 +25,14 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
-from helpers import random_mixed, random_partition, random_pure, tripartite_oracle
+from helpers import (
+    oracle_blocks,
+    random_mixed,
+    random_partition,
+    random_pure,
+    random_split,
+    tripartite_oracle,
+)
 
 _BELL_PROJECTOR = np.array(
     [
@@ -186,19 +193,6 @@ def _assert_meets_contract(state):
     assert not state.entries.flags.writeable
 
 
-def _oracle_blocks(rho, part):
-    """Partial trace onto the bunched qubits, relabelled 1..m+n, then one
-    compress_operator per pattern: the reduction's two stages taken apart."""
-    keep = sorted(part.labels)
-    pos = {lab: t + 1 for t, lab in enumerate(keep)}
-    local = BunchPartition(
-        tuple(pos[x] for x in part.bunch_a), tuple(pos[x] for x in part.bunch_b)
-    )
-    reduced = partial_trace(rho, keep)
-    return [compress_operator(reduced, local, p) for p in enumerate_patterns(local)]
-
-
-@settings(derandomize=True, database=None, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 6),
@@ -213,17 +207,14 @@ def test_derived_states_meet_contract(seed, n, rank):
     weight = float(rng.uniform(0.1, 0.9))
     mixed = mix([(weight, rho), (1.0 - weight, pure)])
     keep = sorted(int(x) + 1 for x in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
-    # any bunch sizes, any anchors, partial covers included
-    labels = [int(x) + 1 for x in rng.permutation(n)[: int(rng.integers(2, n + 1))]]
-    cut = int(rng.integers(1, len(labels)))
-    part = BunchPartition(tuple(labels[:cut]), tuple(labels[cut:]))
+    part = random_split(rng, n)
     red = bunch_reduce(mixed, part)
     derived = [pure, mixed, partial_trace(mixed, keep), red.rho_ab]
     derived += [c.rho_pattern for c in red.components if c.rho_pattern is not None]
     for state in derived:
         _assert_meets_contract(state)
 
-    blocks = _oracle_blocks(mixed, part)
+    blocks = oracle_blocks(mixed, part)
     assert len(blocks) == len(red.components)
     assert np.abs(sum(blocks) - red.rho_ab.entries).max() < 1e-13
     for block, pattern, comp in zip(blocks, enumerate_patterns(part), red.components):

@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through cli.main."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from bunchent import load_state, save_state
+from bunchent import cli
 from bunchent.cli import main
 from helpers import random_mixed
 
@@ -122,6 +124,41 @@ def test_survey_csv_and_jobs_determinism(ghz3, tmp_path, rng, capsys):
         assert capsys.readouterr().out == serial
 
 
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_survey_jobs_capped_at_cores(ghz3, ghz4, monkeypatch, capsys):
+    # with fork every worker starts at the first submit, so --jobs 4096
+    # must not become 4096 processes
+    seen = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(seen, max_workers))
+    assert main(["survey", ghz3, "--full-cover"]) == 0
+    serial = capsys.readouterr().out
+    assert main(["survey", ghz3, "--full-cover", "--jobs", "4096"]) == 0
+    assert capsys.readouterr().out == serial
+    assert len(seen) == 1 and 1 <= seen[0] <= (os.cpu_count() or 1)
+
+    # no split at all: header only, with or without --jobs
+    assert main(["survey", ghz4, "--full-cover", "--max-bunch", "1"]) == 0
+    serial = capsys.readouterr().out
+    assert serial == "bunch_a,bunch_b,m,n,concurrence,eof,eta_list\n"
+    assert main(["survey", ghz4, "--full-cover", "--max-bunch", "1", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial
+
+
 def test_survey_json_format(ghz3, capsys):
     assert main(["survey", ghz3, "--format", "json", "--max-bunch", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -172,6 +209,20 @@ def test_survey_rejects_zero_jobs(ghz3, capsys):
 def test_exit_code_capacity(capsys):
     assert main(["build", "ghz", "--n", "40"]) == 3
     assert "exceeds the dense cap" in capsys.readouterr().err
+
+
+def test_check_pure_file_capacity(ghz3, monkeypatch, capsys):
+    # check densifies a pure file, so it meets the caps before the outer product
+    def refuse(*args):
+        raise AssertionError("np.outer reached past the capacity check")
+
+    monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "2")
+    monkeypatch.setattr(cli.np, "outer", refuse)
+    for argv in (["check", ghz3], ["survey", ghz3]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceeds the dense cap of 2" in err
+        assert err.count("\n") == 1
 
 
 def test_exit_code_invariant(tmp_path, capsys):

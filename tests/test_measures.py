@@ -7,10 +7,11 @@ Frozen reference values:
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from bunchent import (
@@ -32,8 +33,9 @@ from bunchent import (
     survey,
     survey_csv,
 )
-from bunchent.measures import format_float, report_json_dict
-from helpers import random_mixed, random_pure
+from bunchent import measures
+from bunchent.measures import _measure_splits, format_float, report_json_dict
+from helpers import oracle_blocks, random_mixed, random_pure, random_split
 
 _WERNER_C = 0.25
 _WERNER_EOF = 0.11761887377091781
@@ -183,7 +185,6 @@ def _lambdas_eigen_route(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(squares < 1e-14, 0.0, squares))
 
 
-@settings(derandomize=True, database=None, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_tau_form_matches_eigen_route(seed, rank):
     # rank-deficient inputs leave zero columns in the tau-form factor W
@@ -195,6 +196,43 @@ def test_tau_form_matches_eigen_route(seed, rank):
     assert np.abs(lam - _lambdas_eigen_route(mat)).max() < 1e-10
     assert np.all(lam >= 0.0)
     assert np.all(np.diff(lam) <= 0.0)
+
+
+def _row(report: EntanglementReport) -> tuple:
+    return report.partition, report.lambdas, report.etas, report.concurrence, report.eof
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    rank=st.sampled_from([1, 2, None]),
+    count=st.integers(1, 6),
+)
+def test_batched_splits_match_single_and_reference(seed, n, rank, count):
+    # survey --jobs cuts the splits into chunks, so neither the stack size
+    # nor the cut may change a single bit of any row
+    rng = np.random.default_rng(seed)
+    rho = random_mixed(rng, n, rank)
+    parts = [random_split(rng, n) for _ in range(count)]
+    with mock.patch.object(
+        measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
+    ) as chain:
+        rows = _measure_splits(rho, parts)
+    assert chain.call_count == 1
+    stack = chain.call_args.args[0]
+    assert [_row(r) for r in rows] == [_row(_measure_splits(rho, [p])[0]) for p in parts]
+    bounds = [0, *sorted(int(x) for x in rng.integers(0, count + 1, size=3)), count]
+    chunked = [r for lo, hi in zip(bounds, bounds[1:]) for r in _measure_splits(rho, parts[lo:hi])]
+    assert [_row(r) for r in chunked] == [_row(r) for r in rows]
+
+    # each row against the stage-by-stage reduction and the eigen route
+    assert stack.shape == (count, 4, 4)
+    for part, row, rho_ab in zip(parts, rows, stack):
+        blocks = oracle_blocks(rho, part)
+        assert row.partition == part
+        assert np.abs(np.array(row.etas) - [b.trace().real for b in blocks]).max() < 1e-13
+        assert np.abs(rho_ab - sum(blocks)).max() < 1e-13
+        assert np.abs(np.array(row.lambdas) - _lambdas_eigen_route(sum(blocks))).max() < 1e-10
 
 
 def test_input_validation():
