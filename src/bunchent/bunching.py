@@ -20,7 +20,7 @@ Only caller data is validated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -235,6 +235,15 @@ def tripartite_triple(
     )
 
 
+def _subsets(labels: tuple[int, ...], cap: int):
+    """Non-empty subsets of ascending labels, at most cap long, in tuple order."""
+    for k, x in enumerate(labels):
+        yield (x,)
+        if cap > 1:
+            for rest in _subsets(labels[k + 1:], cap - 1):
+                yield (x,) + rest
+
+
 def enumerate_partitions(
     n_qubits: int, max_bunch: int | None = None, full_cover: bool = False
 ) -> list[BunchPartition]:
@@ -248,23 +257,16 @@ def enumerate_partitions(
         raise ValueError(f"need at least 2 qubits to split, got {n_qubits}")
     if max_bunch is not None and max_bunch < 1:
         raise ValueError(f"max_bunch must be positive, got {max_bunch}")
-    labels = range(1, n_qubits + 1)
+    labels = tuple(range(1, n_qubits + 1))
+    cap = n_qubits if max_bunch is None else max_bunch
     found = []
-    for size_a in range(1, n_qubits):
-        for a in combinations(labels, size_a):
-            if max_bunch is not None and len(a) > max_bunch:
-                continue
-            rest = [x for x in labels if x not in a]
-            for size_b in range(1, len(rest) + 1):
-                if max_bunch is not None and size_b > max_bunch:
-                    continue
-                if full_cover and size_a + size_b != n_qubits:
-                    continue
-                for b in combinations(rest, size_b):
-                    if a[0] > b[0]:
-                        continue
-                    found.append(BunchPartition(a, b))
-    found.sort(key=lambda p: (p.bunch_a, p.bunch_b))
+    for a in _subsets(labels, cap):
+        # bunch B draws from the labels above A's anchor that A leaves
+        rest = tuple(x for x in labels if x > a[0] and x not in a)
+        if not full_cover:
+            found.extend(BunchPartition(a, b) for b in _subsets(rest, cap))
+        elif a[0] == 1 and 0 < len(rest) <= cap:
+            found.append(BunchPartition(a, rest))
     return found
 
 

@@ -9,19 +9,15 @@ stderr.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
-import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 
 import numpy as np
 
-from .bunching import BunchPartition, bunch_reduce, enumerate_partitions, reduction_report
+from .bunching import BunchPartition, bunch_reduce, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
-from .measures import _measure_splits, eof_bunches, format_float, report_json_dict, survey_csv
+from .measures import eof_bunches, format_float, report_json_dict, survey, survey_csv
 from .states import (
     _HERMITIAN_TOL,
     _PSD_TOL,
@@ -127,18 +123,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     rho = _load_density(args.state)
-    partitions = enumerate_partitions(rho.n_qubits, args.max_bunch, args.full_cover)
-    if args.jobs == 1:
-        reports = _measure_splits(rho, partitions)
-    else:
-        # one pickled copy of rho and one stacked chain per chunk
-        size = max(1, math.ceil(len(partitions) / args.jobs))
-        chunks = [partitions[k:k + size] for k in range(0, len(partitions), size)]
-        # fork starts every worker at the first submit, so never more than the cores
-        workers = max(1, min(args.jobs, len(chunks), os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(functools.partial(_measure_splits, rho), chunks)
-            reports = [report for part in parts for report in part]
+    reports = survey(rho, args.max_bunch, args.full_cover)
     if args.format == "csv":
         _emit(survey_csv(reports), args.out)
     else:
@@ -147,9 +132,8 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    kind, _, array = read_state_file(args.state)
+    kind, n_qubits, array = read_state_file(args.state)
     if kind == "pure":
-        n_qubits = (array.size - 1).bit_length()
         _check_pure_cap(n_qubits)
         _check_mixed_cap(n_qubits)
         array = np.outer(array, array.conj())
@@ -213,7 +197,8 @@ def _parser() -> argparse.ArgumentParser:
     survey_p.add_argument("--full-cover", action="store_true", help="only pairs covering every qubit")
     survey_p.add_argument("--max-bunch", type=int, default=None)
     survey_p.add_argument("--format", default="csv", choices=["csv", "json"])
-    survey_p.add_argument("--jobs", type=int, default=1)
+    survey_p.add_argument("--jobs", type=int, default=1,
+                          help="kept for compatibility; the survey runs in one process")
     survey_p.add_argument("--out", default="-")
     check_p.add_argument("--tol-hermitian", type=float, default=_HERMITIAN_TOL)
     check_p.add_argument("--tol-trace", type=float, default=_TRACE_TOL)

@@ -44,15 +44,6 @@ class EntanglementReport:
     partition: BunchPartition | None = None
     etas: tuple[float, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.concurrence <= 1.0):
-            raise ValueError(f"concurrence {self.concurrence} outside [0, 1]")
-        if list(self.lambdas) != sorted(self.lambdas, reverse=True):
-            raise ValueError(f"lambdas must be descending, got {self.lambdas}")
-        expected = binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - self.concurrence**2))) / 2.0)
-        if abs(self.eof - expected) > 1e-12:
-            raise ValueError(f"eof {self.eof} inconsistent with concurrence {self.concurrence}")
-
 
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) in bits, with h(0) = h(1) = 0."""

@@ -362,8 +362,9 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     """Parse a state file without enforcing state invariants.
 
     Returns (kind, n_qubits, array) where the array is the amplitude
-    vector or the density matrix. Structural problems raise
-    FileFormatError; invariants are checked by :func:`load_state`.
+    vector or the density matrix, of dimension 2**n_qubits. Structural
+    problems raise FileFormatError; invariants are checked by
+    :func:`load_state`.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -389,13 +390,15 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     size = array.shape[0]
     if kind == "mixed" and array.shape[0] != array.shape[1]:
         raise FileFormatError(f"{path}: matrix is not square: shape {array.shape}")
+    if size < 2 or size & (size - 1):
+        raise FileFormatError(f"{path}: dimension {size} is not a power of two")
     n_qubits = payload.get("n_qubits")
     if n_qubits is None:
-        if size < 2 or size & (size - 1):
-            raise FileFormatError(f"{path}: dimension {size} is not a power of two")
-        n_qubits = int(math.log2(size))
+        n_qubits = size.bit_length() - 1
     elif not isinstance(n_qubits, int) or n_qubits < 1:
         raise FileFormatError(f"{path}: n_qubits must be a positive integer")
+    elif n_qubits != size.bit_length() - 1:
+        raise FileFormatError(f"{path}: dimension {size} does not match n_qubits {n_qubits}")
     return kind, n_qubits, array
 
 

@@ -1,5 +1,7 @@
 """Pattern subspaces and the two-stage bunch reduction."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -289,6 +291,24 @@ def test_enumerate_partitions_counts_and_order():
     for part in enumerate_partitions(5):
         assert part.bunch_a[0] < part.bunch_b[0]
         assert not set(part.bunch_a) & set(part.bunch_b)
+
+    # brute force: every ordered pair of disjoint ascending bunches, filtered, sorted
+    for n in range(2, 7):
+        labels = range(1, n + 1)
+        subsets = [s for k in labels for s in combinations(labels, k)]
+        for max_bunch in (None, *range(1, n + 2)):
+            cap = n if max_bunch is None else max_bunch
+            for full_cover in (False, True):
+                want = sorted(
+                    (a, b)
+                    for a in subsets
+                    for b in subsets
+                    if a[0] < b[0] and not set(a) & set(b)
+                    and len(a) <= cap and len(b) <= cap
+                    and (not full_cover or len(a) + len(b) == n)
+                )
+                got = enumerate_partitions(n, max_bunch, full_cover)
+                assert [(p.bunch_a, p.bunch_b) for p in got] == want
 
     with pytest.raises(ValueError):
         enumerate_partitions(1)

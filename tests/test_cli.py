@@ -1,7 +1,6 @@
 """End-to-end command tests, run in process through cli.main."""
 
 import json
-import os
 import subprocess
 import sys
 
@@ -98,7 +97,7 @@ def test_reduce_report(ghz3, capsys):
     assert rho[0, 3] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_survey_csv_and_jobs_determinism(ghz3, tmp_path, rng, capsys):
+def test_survey_csv_and_jobs_determinism(ghz3, ghz4, tmp_path, rng, capsys):
     assert main(["survey", ghz3, "--full-cover"]) == 0
     serial = capsys.readouterr().out
     lines = serial.strip().split("\n")
@@ -113,7 +112,7 @@ def test_survey_csv_and_jobs_determinism(ghz3, tmp_path, rng, capsys):
     assert main(["survey", ghz3, "--full-cover", "--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
 
-    # 25 splits of a mixed state: --jobs 3 makes uneven chunks of 9, 9, 7
+    # 25 splits of a mixed state
     path = tmp_path / "mixed4.json"
     save_state(random_mixed(rng, 4), path)
     assert main(["survey", str(path)]) == 0
@@ -123,40 +122,10 @@ def test_survey_csv_and_jobs_determinism(ghz3, tmp_path, rng, capsys):
         assert main(["survey", str(path), "--jobs", jobs]) == 0
         assert capsys.readouterr().out == serial
 
-
-class _InlinePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
-
-    def __init__(self, seen, max_workers):
-        seen.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-
-def test_survey_jobs_capped_at_cores(ghz3, ghz4, monkeypatch, capsys):
-    # with fork every worker starts at the first submit, so --jobs 4096
-    # must not become 4096 processes
-    seen = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: _InlinePool(seen, max_workers))
-    assert main(["survey", ghz3, "--full-cover"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["survey", ghz3, "--full-cover", "--jobs", "4096"]) == 0
-    assert capsys.readouterr().out == serial
-    assert len(seen) == 1 and 1 <= seen[0] <= (os.cpu_count() or 1)
-
     # no split at all: header only, with or without --jobs
-    assert main(["survey", ghz4, "--full-cover", "--max-bunch", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert serial == "bunch_a,bunch_b,m,n,concurrence,eof,eta_list\n"
-    assert main(["survey", ghz4, "--full-cover", "--max-bunch", "1", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
+    for jobs in ([], ["--jobs", "2"]):
+        assert main(["survey", ghz4, "--full-cover", "--max-bunch", "1", *jobs]) == 0
+        assert capsys.readouterr().out == "bunch_a,bunch_b,m,n,concurrence,eof,eta_list\n"
 
 
 def test_survey_json_format(ghz3, capsys):
@@ -254,6 +223,21 @@ def test_exit_code_file_problems(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["check", str(garbled)]) == 5
     capsys.readouterr()
+
+    # array sizes that contradict the declared n_qubits
+    payloads = [
+        {"kind": "pure", "n_qubits": 2, "amplitudes": [[3**-0.5, 0.0]] * 3},
+        {"kind": "mixed", "n_qubits": 1, "matrix": [[[1 / 3, 0.0]] * 3] * 3},
+        {"kind": "mixed", "n_qubits": 3, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    ]
+    for k, payload in enumerate(payloads):
+        path = tmp_path / f"mismatch{k}.json"
+        path.write_text(json.dumps(payload))
+        for argv in (["check", str(path)], ["survey", str(path)]):
+            assert main(argv) == 5
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1
 
 
 def test_molecule_weights_validation(capsys):

@@ -185,6 +185,15 @@ def _lambdas_eigen_route(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.where(squares < 1e-14, 0.0, squares))
 
 
+def _assert_report_consistent(report: EntanglementReport) -> None:
+    """What _report makes hold by construction: C in [0, 1], lambdas
+    descending, and EoF equal to h((1 + sqrt(1 - C^2)) / 2) to 1e-12."""
+    assert 0.0 <= report.concurrence <= 1.0
+    assert list(report.lambdas) == sorted(report.lambdas, reverse=True)
+    want = binary_entropy((1.0 + math.sqrt(1.0 - report.concurrence**2)) / 2.0)
+    assert abs(report.eof - want) <= 1e-12
+
+
 @given(seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4))
 def test_tau_form_matches_eigen_route(seed, rank):
     # rank-deficient inputs leave zero columns in the tau-form factor W
@@ -192,10 +201,11 @@ def test_tau_form_matches_eigen_route(seed, rank):
     g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
     gram = g @ g.conj().T
     mat = gram / gram.trace().real
-    lam = np.array(eof(mat).lambdas)
+    report = eof(mat)
+    lam = np.array(report.lambdas)
     assert np.abs(lam - _lambdas_eigen_route(mat)).max() < 1e-10
     assert np.all(lam >= 0.0)
-    assert np.all(np.diff(lam) <= 0.0)
+    _assert_report_consistent(report)
 
 
 def _row(report: EntanglementReport) -> tuple:
@@ -209,8 +219,8 @@ def _row(report: EntanglementReport) -> tuple:
     count=st.integers(1, 6),
 )
 def test_batched_splits_match_single_and_reference(seed, n, rank, count):
-    # survey --jobs cuts the splits into chunks, so neither the stack size
-    # nor the cut may change a single bit of any row
+    # eof_bunches measures a stack of one and survey all splits at once,
+    # so neither the stack size nor a cut may change a single bit of any row
     rng = np.random.default_rng(seed)
     rho = random_mixed(rng, n, rank)
     parts = [random_split(rng, n) for _ in range(count)]
@@ -233,6 +243,7 @@ def test_batched_splits_match_single_and_reference(seed, n, rank, count):
         assert np.abs(np.array(row.etas) - [b.trace().real for b in blocks]).max() < 1e-13
         assert np.abs(rho_ab - sum(blocks)).max() < 1e-13
         assert np.abs(np.array(row.lambdas) - _lambdas_eigen_route(sum(blocks))).max() < 1e-10
+        _assert_report_consistent(row)
 
 
 def test_input_validation():
@@ -246,15 +257,6 @@ def test_input_validation():
         concurrence(skew)
     with pytest.raises(InvariantError):
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
-
-
-def test_report_validation():
-    with pytest.raises(ValueError):
-        EntanglementReport(1.5, 0.0, (1.0, 0.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        EntanglementReport(0.0, 0.0, (0.0, 1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        EntanglementReport(1.0, 0.25, (1.0, 0.0, 0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------

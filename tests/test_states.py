@@ -343,6 +343,10 @@ def test_read_state_file_rejections(tmp_path):
         (json.dumps({"kind": "mixed", "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}), FileFormatError),
         (json.dumps({"kind": "pure", "amplitudes": [[1.0, 0.0]] * 3}), FileFormatError),
         (json.dumps({"kind": "pure", "n_qubits": "two", "amplitudes": [[1.0, 0.0]] * 4}), FileFormatError),
+        # array size against the declared n_qubits
+        (json.dumps({"kind": "pure", "n_qubits": 2, "amplitudes": [[1.0, 0.0]] * 3}), FileFormatError),
+        (json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [[[1 / 3, 0.0]] * 3] * 3}), FileFormatError),
+        (json.dumps({"kind": "mixed", "n_qubits": 3, "matrix": [[[0.5, 0.0]] * 2] * 2}), FileFormatError),
     ]
     for k, (text, exc) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
