@@ -11,10 +11,11 @@ operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, so _pattern_blocks takes
-them in one gather; logical_index, build_projector and compress_operator
-keep the stage-by-stage reference. bunch_reduce wraps the blocks in
-pattern objects; a survey keeps only each split's rho_ab and weights.
-Only caller data is validated.
+them in one gather; a pure state gathers its amplitudes through the same
+table and is never densified. logical_index, build_projector and
+compress_operator keep the stage-by-stage reference. bunch_reduce wraps
+the blocks in pattern objects; a survey keeps only each split's rho_ab
+and weights. Only caller data is validated.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, _derived
+from .states import _ETA_FLOOR, DensityMatrix, StateVector, _derived
 
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -170,29 +171,34 @@ def compress_operator(
     return mat[np.ix_(idx, idx)].copy()
 
 
-def _pattern_blocks(rho: DensityMatrix, partition: BunchPartition) -> np.ndarray:
-    """The (P, 4, 4) pattern blocks of rho, in enumerate_patterns order.
+def _pattern_blocks(state: StateVector | DensityMatrix, partition: BunchPartition) -> np.ndarray:
+    """The (P, 4, 4) pattern blocks of a state, in enumerate_patterns order.
 
     Both stages are one gather through a (2^(n-2), 4) table of basis
-    indices of rho. A row's bits are the flip bits of the non-anchor
-    members (bunch A, then B, as in enumerate_patterns), then the outsider
-    bits in ascending label order; column 2i+j xors logical i into every
-    qubit of bunch A and j into every qubit of bunch B. Summing the 4x4
-    blocks over a pattern's outsider rows gives that pattern's block.
+    indices. A row's bits are the flip bits of the non-anchor members
+    (bunch A, then B, as in enumerate_patterns), then the outsider bits in
+    ascending label order; column 2i+j xors logical i into every qubit of
+    bunch A and j into every qubit of bunch B. Each row picks a 4x4 block
+    of rho, or for a pure state the outer product of four amplitudes, the
+    same numbers; summing over a pattern's rows gives its block.
     """
     labels = partition.labels
-    if max(labels) > rho.n_qubits:
+    if max(labels) > state.n_qubits:
         raise ValueError(
-            f"partition labels {labels} exceed the state's {rho.n_qubits} qubits"
+            f"partition labels {labels} exceed the state's {state.n_qubits} qubits"
         )
-    n, a, b = rho.n_qubits, partition.bunch_a, partition.bunch_b
+    n, a, b = state.n_qubits, partition.bunch_a, partition.bunch_b
     outsiders = tuple(x for x in range(1, n + 1) if x not in labels)
     free = np.array(a[1:] + b[1:] + outsiders, dtype=np.int64)
     rows = np.arange(2 ** free.size, dtype=np.int64)
     base = ((rows[:, None] >> np.arange(free.size - 1, -1, -1)) & 1) @ (1 << (n - free))
     flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
     table = base[:, None] ^ np.array([0, flip_b, flip_a, flip_a ^ flip_b])
-    blocks = rho.entries[table[:, :, None], table[:, None, :]]
+    if isinstance(state, StateVector):
+        amp = state.amplitudes[table]
+        blocks = amp[:, :, None] * amp.conj()[:, None, :]
+    else:
+        blocks = state.entries[table[:, :, None], table[:, None, :]]
     return blocks.reshape(2 ** (len(labels) - 2), -1, 4, 4).sum(axis=1)
 
 
@@ -202,13 +208,13 @@ def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     return np.where(etas < _ETA_FLOOR, 0.0, etas)
 
 
-def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReduction:
+def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:
     """Reduce a state onto a bunch pair: partial trace, then pattern sums.
 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    blocks = _pattern_blocks(rho, partition)
+    blocks = _pattern_blocks(state, partition)
     components = tuple(
         ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
         for pattern, block, eta in zip(
@@ -219,19 +225,19 @@ def bunch_reduce(rho: DensityMatrix, partition: BunchPartition) -> BunchReductio
 
 
 def tripartite_triple(
-    rho: DensityMatrix,
+    state: StateVector | DensityMatrix,
 ) -> tuple[BunchReduction, BunchReduction, BunchReduction]:
     """The three bunch reductions of a three-qubit state.
 
     The splits are 1/(2,3), 2/(3,1) and 3/(1,2); the middle one is
     anchored at qubit 3, matching the cyclic ordering of the subsystems.
     """
-    if rho.n_qubits != 3:
-        raise ValueError(f"expected a 3-qubit state, got {rho.n_qubits} qubits")
+    if state.n_qubits != 3:
+        raise ValueError(f"expected a 3-qubit state, got {state.n_qubits} qubits")
     return (
-        bunch_reduce(rho, BunchPartition((1,), (2, 3))),
-        bunch_reduce(rho, BunchPartition((2,), (3, 1))),
-        bunch_reduce(rho, BunchPartition((3,), (1, 2))),
+        bunch_reduce(state, BunchPartition((1,), (2, 3))),
+        bunch_reduce(state, BunchPartition((2,), (3, 1))),
+        bunch_reduce(state, BunchPartition((3,), (1, 2))),
     )
 
 

@@ -27,7 +27,6 @@ from .states import (
     _check_mixed_cap,
     _check_pure_cap,
     bell_w_state,
-    densify,
     diagnose_density,
     embedded_bell,
     entanglement_molecule,
@@ -57,13 +56,6 @@ def _emit(text: str, output_path: str | None) -> None:
             fh.write(text)
 
 
-def _load_density(path: str) -> DensityMatrix:
-    state = load_state(path)
-    if isinstance(state, StateVector):
-        return densify(state)
-    return state
-
-
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.kind == "ghz":
         state: StateVector | DensityMatrix = ghz(args.n)
@@ -89,10 +81,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 raise ValueError("--weights is not valid JSON") from None
             if not isinstance(raw, dict):
                 raise ValueError("--weights must be a JSON object")
-            weights = {
-                _parse_labels(key.replace("-", ","), "--weights key"): float(val)
-                for key, val in raw.items()
-            }
+            try:
+                weights = {
+                    _parse_labels(key.replace("-", ","), "--weights key"): float(val)
+                    for key, val in raw.items()
+                }
+            except TypeError:
+                raise ValueError("--weights values must be numbers") from None
         state = entanglement_molecule(args.m, args.n, args.w, weights)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown build kind {args.kind!r}")
@@ -102,16 +97,14 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     bunch_a, bunch_b = _bunch_labels(args)
-    rho = _load_density(args.state)
-    reduction = bunch_reduce(rho, BunchPartition(bunch_a, bunch_b))
+    reduction = bunch_reduce(load_state(args.state), BunchPartition(bunch_a, bunch_b))
     _emit(json.dumps(reduction_report(reduction), indent=2) + "\n", args.out)
     return 0
 
 
 def _cmd_eof(args: argparse.Namespace) -> int:
     bunch_a, bunch_b = _bunch_labels(args)
-    rho = _load_density(args.state)
-    report = eof_bunches(rho, BunchPartition(bunch_a, bunch_b))
+    report = eof_bunches(load_state(args.state), BunchPartition(bunch_a, bunch_b))
     sys.stdout.write(f"concurrence {report.concurrence:.12f}\n")
     sys.stdout.write(f"eof {report.eof:.12f}\n")
     if args.out is not None and args.out != "-":
@@ -122,8 +115,7 @@ def _cmd_eof(args: argparse.Namespace) -> int:
 def _cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    rho = _load_density(args.state)
-    reports = survey(rho, args.max_bunch, args.full_cover)
+    reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
     if args.format == "csv":
         _emit(survey_csv(reports), args.out)
     else:
@@ -142,11 +134,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     sys.stdout.write(f"trace_defect {format_float(diag.trace_defect)}\n")
     sys.stdout.write(f"min_eigenvalue {format_float(diag.min_eigenvalue)}\n")
     failed = []
-    if diag.hermiticity_defect > args.tol_hermitian:
+    if not diag.hermiticity_defect <= args.tol_hermitian:
         failed.append(f"hermiticity_defect {format_float(diag.hermiticity_defect)}")
-    if diag.trace_defect > args.tol_trace:
+    if not diag.trace_defect <= args.tol_trace:
         failed.append(f"trace_defect {format_float(diag.trace_defect)}")
-    if diag.min_eigenvalue < -args.tol_psd:
+    if not diag.min_eigenvalue >= -args.tol_psd:
         failed.append(f"min_eigenvalue {format_float(diag.min_eigenvalue)}")
     if failed:
         raise InvariantError("; ".join(failed))

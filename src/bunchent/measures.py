@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bunching import BunchPartition, _pattern_blocks, _pattern_weights, enumerate_partitions
-from .states import _CHAIN_EIG_FLOOR, _INPUT_EIG_FLOOR, DensityMatrix, _check_density
+from .states import _CHAIN_EIG_FLOOR, _INPUT_EIG_FLOOR, DensityMatrix, StateVector, _check_density
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -111,14 +111,14 @@ def eof(rho) -> EntanglementReport:
 
 
 def _measure_splits(
-    rho: DensityMatrix, partitions: list[BunchPartition]
+    state: StateVector | DensityMatrix, partitions: list[BunchPartition]
 ) -> list[EntanglementReport]:
     """Reports for a list of splits, in order: each split is gathered and
     summed on its own, then one chain runs on the stack of rho_abs."""
     stack = np.empty((len(partitions), 4, 4), dtype=np.complex128)
     etas = []
     for k, partition in enumerate(partitions):
-        blocks = _pattern_blocks(rho, partition)
+        blocks = _pattern_blocks(state, partition)
         stack[k] = blocks.sum(axis=0)
         etas.append(tuple(_pattern_weights(blocks).tolist()))
     return [
@@ -127,16 +127,18 @@ def _measure_splits(
     ]
 
 
-def eof_bunches(rho: DensityMatrix, partition: BunchPartition) -> EntanglementReport:
+def eof_bunches(
+    state: StateVector | DensityMatrix, partition: BunchPartition
+) -> EntanglementReport:
     """Reduce onto a bunch pair and measure the resulting two-qubit state."""
-    return _measure_splits(rho, [partition])[0]
+    return _measure_splits(state, [partition])[0]
 
 
 def survey(
-    rho: DensityMatrix, max_bunch: int | None = None, full_cover: bool = False
+    state: StateVector | DensityMatrix, max_bunch: int | None = None, full_cover: bool = False
 ) -> list[EntanglementReport]:
     """Measure every bunch pair of a state, in enumeration order."""
-    return _measure_splits(rho, enumerate_partitions(rho.n_qubits, max_bunch, full_cover))
+    return _measure_splits(state, enumerate_partitions(state.n_qubits, max_bunch, full_cover))
 
 
 # ---------------------------------------------------------------------------

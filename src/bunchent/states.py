@@ -4,9 +4,9 @@ Index convention: qubit labels are 1-based and qubit 1 is the most
 significant bit of the flattened basis index, so the basis state
 |i1 i2 ... iN> lives at index sum_k i_k * 2^(N - k).
 
-Everything is dense. Pure states are capped at 16 qubits and density
-matrices at 10; the BUNCHENT_MAX_QUBITS environment variable overrides
-both caps with a single value.
+Everything is dense, but the bunch reduction never densifies a pure
+state. Pure states are capped at 16 qubits and density matrices at 10;
+the BUNCHENT_MAX_QUBITS environment variable sets both caps to one value.
 """
 
 from __future__ import annotations
@@ -97,11 +97,11 @@ def diagnose_density(matrix) -> DensityDiagnostics:
 def _check_density(matrix: np.ndarray, psd_tol: float = _PSD_TOL) -> None:
     """Raise InvariantError on the first contract defect: hermiticity, trace, positivity."""
     diag = diagnose_density(matrix)
-    if diag.hermiticity_defect > _HERMITIAN_TOL:
+    if not diag.hermiticity_defect <= _HERMITIAN_TOL:
         raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
-    if diag.trace_defect > _TRACE_TOL:
+    if not diag.trace_defect <= _TRACE_TOL:
         raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
-    if diag.min_eigenvalue < -psd_tol:
+    if not diag.min_eigenvalue >= -psd_tol:
         raise InvariantError(
             f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
         )
@@ -128,7 +128,7 @@ class StateVector:
                 f"amplitude vector has length {amps.size}, expected {2 ** self.n_qubits}"
             )
         norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > _NORM_TOL:
+        if not abs(norm2 - 1.0) <= _NORM_TOL:
             raise InvariantError(f"squared norm deviates from 1 by {abs(norm2 - 1.0):.3e}")
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -383,6 +383,8 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
         raw = np.asarray(payload[field], dtype=np.float64)
     except (TypeError, ValueError):
         raise FileFormatError(f"{path}: field {field!r} is not a numeric array") from None
+    if not np.isfinite(raw).all():
+        raise FileFormatError(f"{path}: field {field!r} holds a NaN or infinite number")
     expected_ndim = 2 if kind == "pure" else 3
     if raw.ndim != expected_ndim or raw.shape[-1] != 2:
         raise FileFormatError(f"{path}: field {field!r} has shape {raw.shape}")

@@ -26,6 +26,7 @@ from bunchent import (
     reduction_report,
     tripartite_triple,
 )
+from bunchent.bunching import _pattern_blocks
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
     oracle_blocks,
@@ -205,7 +206,8 @@ def test_derived_states_meet_contract(seed, n, rank):
     # asserted here on every path that builds one
     rng = np.random.default_rng(seed)
     rho = random_mixed(rng, n, rank)
-    pure = densify(random_pure(rng, n))
+    psi = random_pure(rng, n)
+    pure = densify(psi)
     weight = float(rng.uniform(0.1, 0.9))
     mixed = mix([(weight, rho), (1.0 - weight, pure)])
     keep = sorted(int(x) + 1 for x in rng.choice(n, int(rng.integers(1, n + 1)), replace=False))
@@ -224,6 +226,12 @@ def test_derived_states_meet_contract(seed, n, rank):
         assert abs(comp.eta - block.trace().real) < 1e-13
         if comp.rho_pattern is not None:
             assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
+
+    # a pure state gathers amplitudes, never densified, to the same bits
+    assert _pattern_blocks(psi, part).tobytes() == _pattern_blocks(pure, part).tobytes()
+    from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
+    assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
+    assert from_psi.etas == from_rho.etas
 
 
 def test_singleton_pair_equals_partial_trace(rng):

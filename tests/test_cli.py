@@ -175,6 +175,19 @@ def test_survey_rejects_zero_jobs(ghz3, capsys):
     assert err.count("\n") == 1
 
 
+def test_pure_file_above_mixed_cap(tmp_path, capsys):
+    # reduce, eof and survey gather a pure file's amplitudes, so a 12-qubit
+    # file passes where its 4^12 density matrix would exceed the mixed cap
+    path = tmp_path / "ghz12.json"
+    assert main(["build", "ghz", "--n", "12", "--out", str(path)]) == 0
+    assert main(["eof", str(path), "--a", "1", "--b", ",".join(str(x) for x in range(2, 13))]) == 0
+    assert capsys.readouterr().out == "concurrence 1.000000000000\neof 1.000000000000\n"
+    assert main(["survey", str(path), "--max-bunch", "1"]) == 0
+    assert capsys.readouterr().out.count("\n") == 67  # header and 66 pairs
+    assert main(["reduce", str(path), "--a", "1,2", "--b", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bunch_b"] == [3]
+
+
 def test_exit_code_capacity(capsys):
     assert main(["build", "ghz", "--n", "40"]) == 3
     assert "exceeds the dense cap" in capsys.readouterr().err
@@ -224,16 +237,26 @@ def test_exit_code_file_problems(tmp_path, capsys):
     assert main(["check", str(garbled)]) == 5
     capsys.readouterr()
 
-    # array sizes that contradict the declared n_qubits
+    # array sizes that contradict the declared n_qubits, then NaN and
+    # Infinity entries, which Python's json reads as numbers
+    nan, inf = float("nan"), float("inf")
     payloads = [
         {"kind": "pure", "n_qubits": 2, "amplitudes": [[3**-0.5, 0.0]] * 3},
         {"kind": "mixed", "n_qubits": 1, "matrix": [[[1 / 3, 0.0]] * 3] * 3},
         {"kind": "mixed", "n_qubits": 3, "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+        {"kind": "pure", "n_qubits": 2, "amplitudes": [[nan, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        {"kind": "pure", "n_qubits": 2, "amplitudes": [[inf, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
+        {"kind": "mixed", "n_qubits": 1, "matrix": [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
     ]
     for k, payload in enumerate(payloads):
-        path = tmp_path / f"mismatch{k}.json"
+        path = tmp_path / f"bad{k}.json"
         path.write_text(json.dumps(payload))
-        for argv in (["check", str(path)], ["survey", str(path)]):
+        for argv in (
+            ["check", str(path)],
+            ["survey", str(path)],
+            ["eof", str(path), "--a", "1", "--b", "2"],
+            ["reduce", str(path), "--a", "1", "--b", "2"],
+        ):
             assert main(argv) == 5
             err = capsys.readouterr().err
             assert err.startswith("error: ")
@@ -244,6 +267,11 @@ def test_molecule_weights_validation(capsys):
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", "{bad"]) == 2
     capsys.readouterr()
+    for weights in ('{"1-2-3": null}', '{"1-2-3": [1]}'):
+        assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", weights]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
 
 
 def test_argparse_rejects_unknown(ghz3):

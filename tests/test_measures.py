@@ -245,6 +245,12 @@ def test_batched_splits_match_single_and_reference(seed, n, rank, count):
         assert np.abs(np.array(row.lambdas) - _lambdas_eigen_route(sum(blocks))).max() < 1e-10
         _assert_report_consistent(row)
 
+    # a pure state measures to the same bits as its density matrix
+    psi = random_pure(rng, n)
+    assert [_row(r) for r in _measure_splits(psi, parts)] == [
+        _row(r) for r in _measure_splits(densify(psi), parts)
+    ]
+
 
 def test_input_validation():
     with pytest.raises(ValueError):

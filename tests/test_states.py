@@ -147,6 +147,8 @@ def test_state_vector_validation():
         StateVector(2, np.zeros(3))
     with pytest.raises(InvariantError):
         StateVector(1, np.array([1.0, 1.0]))
+    with pytest.raises(InvariantError):
+        StateVector(1, np.array([np.nan, 1.0]))
     psi = ket_basis(1, [0])
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0  # frozen
@@ -159,6 +161,8 @@ def test_density_matrix_validation():
         DensityMatrix(1, np.diag([0.7, 0.5]))
     with pytest.raises(InvariantError):
         DensityMatrix(1, np.diag([1.5, -0.5]))
+    with pytest.raises(InvariantError):
+        DensityMatrix(1, np.diag([np.nan, np.nan]))
     with pytest.raises(ValueError):
         DensityMatrix(2, np.eye(2) / 2.0)
 
@@ -347,6 +351,10 @@ def test_read_state_file_rejections(tmp_path):
         (json.dumps({"kind": "pure", "n_qubits": 2, "amplitudes": [[1.0, 0.0]] * 3}), FileFormatError),
         (json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [[[1 / 3, 0.0]] * 3] * 3}), FileFormatError),
         (json.dumps({"kind": "mixed", "n_qubits": 3, "matrix": [[[0.5, 0.0]] * 2] * 2}), FileFormatError),
+        # Python's json reads NaN and Infinity
+        (json.dumps({"kind": "pure", "amplitudes": [[float("nan"), 0.0], [1.0, 0.0]]}), FileFormatError),
+        (json.dumps({"kind": "pure", "amplitudes": [[1.0, float("inf")], [0.0, 0.0]]}), FileFormatError),
+        (json.dumps({"kind": "mixed", "matrix": [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}), FileFormatError),
     ]
     for k, (text, exc) in enumerate(cases):
         path = tmp_path / f"case{k}.json"
