@@ -35,7 +35,6 @@ from .measures import (
 from .states import (
     DensityDiagnostics,
     DensityMatrix,
-    MixtureTerm,
     StateVector,
     bell_w_state,
     capacity_caps,
@@ -65,7 +64,6 @@ __all__ = [
     "EntanglementReport",
     "FileFormatError",
     "InvariantError",
-    "MixtureTerm",
     "PatternPair",
     "ReductionComponent",
     "StateVector",

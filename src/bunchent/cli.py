@@ -127,7 +127,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     kind, n_qubits, array = read_state_file(args.state)
     if kind == "pure":
         _check_pure_cap(n_qubits)
-        _check_mixed_cap(n_qubits)
+    _check_mixed_cap(n_qubits)  # the diagnosis works on the 4^n matrix
+    if kind == "pure":
         array = np.outer(array, array.conj())
     diag = diagnose_density(array)
     sys.stdout.write(f"hermiticity_defect {format_float(diag.hermiticity_defect)}\n")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bunching import BunchPartition, _pattern_blocks, _pattern_weights, enumerate_partitions
-from .states import _CHAIN_EIG_FLOOR, _INPUT_EIG_FLOOR, DensityMatrix, StateVector, _check_density
+from .states import _CHAIN_EIG_FLOOR, DensityMatrix, StateVector
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -59,15 +59,11 @@ def binary_entropy(x: float) -> float:
 
 
 def _as_two_qubit(rho) -> np.ndarray:
-    if isinstance(rho, DensityMatrix):
-        if rho.n_qubits != 2:
-            raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
-        return np.asarray(rho.entries)
-    mat = np.asarray(rho, dtype=np.complex128)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    _check_density(mat, _INPUT_EIG_FLOOR)
-    return mat
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(2, rho)
+    if rho.n_qubits != 2:
+        raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
+    return rho.entries
 
 
 def spin_flip(rho) -> np.ndarray:

@@ -30,7 +30,7 @@ _NORM_TOL = 1e-12          # |squared norm - 1| of a pure state
 _HERMITIAN_TOL = 1e-10     # density contract: max |rho - rho^dagger|
 _TRACE_TOL = 1e-10         # density contract: |trace - 1|
 _PSD_TOL = 1e-9            # density contract: most negative eigenvalue
-_INPUT_EIG_FLOOR = 1e-10   # most negative eigenvalue of a raw 4x4 eof input
+_WEIGHT_TOL = 1e-12        # |sum of mixture weights - 1|
 _ETA_FLOOR = 1e-14         # pattern weights below it read as exactly 0
 _CHAIN_EIG_FLOOR = 1e-14   # eigenvalues and lambda^2 in the chain read as 0 below it
 
@@ -94,19 +94,6 @@ def diagnose_density(matrix) -> DensityDiagnostics:
     return DensityDiagnostics(herm, trace, min_eig)
 
 
-def _check_density(matrix: np.ndarray, psd_tol: float = _PSD_TOL) -> None:
-    """Raise InvariantError on the first contract defect: hermiticity, trace, positivity."""
-    diag = diagnose_density(matrix)
-    if not diag.hermiticity_defect <= _HERMITIAN_TOL:
-        raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
-    if not diag.trace_defect <= _TRACE_TOL:
-        raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
-    if not diag.min_eigenvalue >= -psd_tol:
-        raise InvariantError(
-            f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of n_qubits qubits as a flat amplitude vector.
@@ -152,7 +139,15 @@ class DensityMatrix:
         d = 2 ** self.n_qubits
         if mat.shape != (d, d):
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
-        _check_density(mat)
+        diag = diagnose_density(mat)
+        if not diag.hermiticity_defect <= _HERMITIAN_TOL:
+            raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
+        if not diag.trace_defect <= _TRACE_TOL:
+            raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
+        if not diag.min_eigenvalue >= -_PSD_TOL:
+            raise InvariantError(
+                f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
+            )
         object.__setattr__(self, "entries", _freeze(mat))
 
     @property
@@ -167,18 +162,6 @@ def _derived(n_qubits: int, entries: np.ndarray) -> DensityMatrix:
     object.__setattr__(rho, "n_qubits", n_qubits)
     object.__setattr__(rho, "entries", _freeze(entries))
     return rho
-
-
-@dataclass(frozen=True)
-class MixtureTerm:
-    """One weighted pure component of a mixture."""
-
-    weight: float
-    state: StateVector
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.weight <= 1.0):
-            raise ValueError(f"mixture weight must be in (0, 1], got {self.weight}")
 
 
 def normalize(amplitudes) -> StateVector:
@@ -225,18 +208,11 @@ def bell_w_state(n_qubits: int, w: int) -> StateVector:
     """Two-branch state (|0..0 1..1> + |1..1 0..0>) / sqrt(2).
 
     The first branch has w leading zeros; the second is its bitwise
-    complement. Requires 1 <= w < n_qubits.
+    complement. Requires 1 <= w < n_qubits; it is :func:`embedded_bell`
+    over every qubit, which validates n_qubits and w.
     """
-    if n_qubits < 2:
-        raise ValueError(f"need at least 2 qubits, got {n_qubits}")
-    if not (1 <= w < n_qubits):
-        raise ValueError(f"w must satisfy 1 <= w < {n_qubits}, got {w}")
     _check_pure_cap(n_qubits)
-    amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
-    lead = 2 ** (n_qubits - w) - 1
-    amps[lead] = 1.0 / math.sqrt(2.0)
-    amps[2 ** n_qubits - 1 - lead] = 1.0 / math.sqrt(2.0)
-    return StateVector(n_qubits, amps)
+    return embedded_bell(n_qubits, range(1, n_qubits + 1), w)
 
 
 def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
@@ -270,19 +246,21 @@ def densify(psi: StateVector) -> DensityMatrix:
     return _derived(psi.n_qubits, np.outer(amps, amps.conj()))
 
 
-def mix(terms: Sequence[tuple[float, DensityMatrix]]) -> DensityMatrix:
-    """Convex combination of density matrices on a common qubit count."""
+def mix(terms: Sequence[tuple[float, StateVector | DensityMatrix]]) -> DensityMatrix:
+    """Convex combination of states on a common qubit count; pure terms are
+    densified one at a time inside the running sum."""
     if not terms:
         raise ValueError("mix needs at least one term")
     weights = [float(w) for w, _ in terms]
-    if any(w <= 0.0 for w in weights):
+    if not all(w > 0.0 for w in weights):  # negated, so a NaN weight fails
         raise ValueError(f"mixture weights must be positive, got {weights}")
-    if abs(sum(weights) - 1.0) > 1e-12:
+    if not abs(sum(weights) - 1.0) <= _WEIGHT_TOL:
         raise ValueError(f"mixture weights sum to {sum(weights)!r}, expected 1")
     n = terms[0][1].n_qubits
-    if any(rho.n_qubits != n for _, rho in terms):
+    if any(state.n_qubits != n for _, state in terms):
         raise ValueError("all mixture terms must share the same qubit count")
-    return _derived(n, sum(w * rho.entries for w, rho in terms))
+    dense = (densify(s) if isinstance(s, StateVector) else s for _, s in terms)
+    return _derived(n, sum(w * rho.entries for w, rho in zip(weights, dense)))
 
 
 def entanglement_molecule(
@@ -296,7 +274,7 @@ def entanglement_molecule(
     if not weights:
         raise ValueError("molecule needs at least one subset")
     _check_mixed_cap(m_total)
-    terms: list[MixtureTerm] = []
+    terms = []
     seen: set[tuple[int, ...]] = set()
     for subset, weight in weights.items():
         key = tuple(int(s) for s in subset)
@@ -305,10 +283,8 @@ def entanglement_molecule(
         if key in seen:
             raise ValueError(f"duplicate subset {key}")
         seen.add(key)
-        terms.append(MixtureTerm(float(weight), embedded_bell(m_total, key, w)))
-    if abs(sum(t.weight for t in terms) - 1.0) > 1e-12:
-        raise ValueError("molecule weights must sum to 1")
-    return mix([(t.weight, densify(t.state)) for t in terms])
+        terms.append((weight, embedded_bell(m_total, key, w)))
+    return mix(terms)
 
 
 def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

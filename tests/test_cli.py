@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bunchent import load_state, save_state
+from bunchent import densify, ghz, load_state, save_state
 from bunchent import cli
 from bunchent.cli import main
 from helpers import random_mixed
@@ -193,14 +193,17 @@ def test_exit_code_capacity(capsys):
     assert "exceeds the dense cap" in capsys.readouterr().err
 
 
-def test_check_pure_file_capacity(ghz3, monkeypatch, capsys):
-    # check densifies a pure file, so it meets the caps before the outer product
+def test_check_pure_file_capacity(ghz3, tmp_path, monkeypatch, capsys):
+    # check densifies a pure file, so it meets the caps before the outer
+    # product; a mixed file meets the mixed cap before its diagnosis
     def refuse(*args):
         raise AssertionError("np.outer reached past the capacity check")
 
+    mixed = tmp_path / "ghz3_mixed.json"
+    save_state(densify(ghz(3)), mixed)
     monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "2")
     monkeypatch.setattr(cli.np, "outer", refuse)
-    for argv in (["check", ghz3], ["survey", ghz3]):
+    for argv in (["check", ghz3], ["survey", ghz3], ["check", str(mixed)]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the dense cap of 2" in err
@@ -267,7 +270,7 @@ def test_molecule_weights_validation(capsys):
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", "{bad"]) == 2
     capsys.readouterr()
-    for weights in ('{"1-2-3": null}', '{"1-2-3": [1]}'):
+    for weights in ('{"1-2-3": null}', '{"1-2-3": [1]}', '{"1-2-3": NaN}', '{"1-2-3": 0.5}'):
         assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", weights]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -263,6 +263,15 @@ def test_input_validation():
         concurrence(skew)
     with pytest.raises(InvariantError):
         concurrence(np.diag([1.5, -0.5, 0.0, 0.0]))
+    # a raw array meets the DensityMatrix contract, PSD tolerance 1e-9 included
+    near = np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10])
+    raw, wrapped = eof(near), eof(DensityMatrix(2, near))
+    assert (raw.concurrence, raw.eof, raw.lambdas) == (wrapped.concurrence, wrapped.eof, wrapped.lambdas)
+    beyond = np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9])
+    with pytest.raises(InvariantError):
+        eof(beyond)
+    with pytest.raises(InvariantError):
+        eof(DensityMatrix(2, beyond))
 
 
 # ---------------------------------------------------------------------------

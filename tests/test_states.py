@@ -5,6 +5,8 @@ The index convention under test: qubit 1 is the most significant bit, so
 """
 
 import json
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from bunchent import (
     DensityMatrix,
     FileFormatError,
     InvariantError,
-    MixtureTerm,
     StateVector,
     bell_w_state,
     capacity_caps,
@@ -110,6 +111,14 @@ def test_bell_w_state_branch_indices():
         bell_w_state(3, 0)
     with pytest.raises(ValueError):
         bell_w_state(3, 3)
+    with pytest.raises(ValueError):
+        bell_w_state(1, 1)
+
+    # bell_w_state is embedded_bell over every qubit, amplitude for amplitude
+    for n in range(2, 9):
+        for w in range(1, n):
+            full = embedded_bell(n, range(1, n + 1), w).amplitudes
+            assert bell_w_state(n, w).amplitudes.tobytes() == full.tobytes()
 
 
 def test_embedded_bell_places_subset():
@@ -185,14 +194,6 @@ def test_diagnose_density_reports_defects():
     assert diagnose_density(off_trace).trace_defect == pytest.approx(0.1)
 
 
-def test_mixture_term_weight_range():
-    psi = ket_basis(1, [0])
-    with pytest.raises(ValueError):
-        MixtureTerm(0.0, psi)
-    with pytest.raises(ValueError):
-        MixtureTerm(1.5, psi)
-
-
 def test_densify_rank_one(rng):
     psi = random_pure(rng, 3)
     rho = densify(psi)
@@ -211,6 +212,18 @@ def test_mix_validation():
         mix([(0.7, half), (0.7, other)])
     with pytest.raises(ValueError):
         mix([(0.5, half), (0.5, densify(ket_basis(2, [0, 0])))])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mix([(bad, half)])
+        with pytest.raises(ValueError):
+            mix([(0.5, half), (bad, other)])
+    # pure terms are densified inside the sum, to the same bytes
+    psi, phi = ghz(3), embedded_bell(3, (1, 3), 1)
+    pure = mix([(0.3, psi), (0.7, phi)])
+    dense = mix([(0.3, densify(psi)), (0.7, densify(phi))])
+    assert pure.entries.tobytes() == dense.entries.tobytes()
+    both = mix([(0.3, psi), (0.7, densify(phi))])
+    assert both.entries.tobytes() == dense.entries.tobytes()
 
 
 def test_molecule_is_valid_mixture():
@@ -225,11 +238,31 @@ def test_molecule_validation():
         entanglement_molecule(4, 3, 1, {})
     with pytest.raises(ValueError):
         entanglement_molecule(4, 3, 1, {(1, 2): 1.0})
+    # mix refuses a sum other than 1, a weight that is not positive, and NaN
+    for weight in (0.5, 0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            entanglement_molecule(4, 3, 1, {(1, 2, 3): weight})
     with pytest.raises(ValueError):
-        entanglement_molecule(4, 3, 1, {(1, 2, 3): 0.5})
+        entanglement_molecule(4, 3, 1, {(1, 2, 3): float("nan"), (2, 3, 4): 1.0})
     # two keys that normalize to the same subset
     with pytest.raises(ValueError):
         entanglement_molecule(4, 3, 1, {(1, 2, 3): 0.5, ("1", "2", "3"): 0.5})
+
+
+def test_molecule_holds_one_dense_term():
+    # a molecule of 70 components on 8 qubits: every dense term is 1 MiB,
+    # and only the running sum and the current term are alive at once
+    subsets = list(combinations(range(1, 9), 4))
+    weights = {s: 1.0 / len(subsets) for s in subsets}
+    tracemalloc.start()
+    try:
+        rho = entanglement_molecule(8, 4, 1, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    expected = sum(w * densify(embedded_bell(8, s, 1)).entries for s, w in weights.items())
+    assert rho.entries.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
