@@ -13,27 +13,20 @@ import json
 import sys
 from itertools import combinations
 
-import numpy as np
-
 from .bunching import BunchPartition, bunch_reduce, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
 from .measures import eof_bunches, format_float, report_json_dict, survey, survey_csv
 from .states import (
-    _HERMITIAN_TOL,
-    _PSD_TOL,
-    _TRACE_TOL,
     DensityMatrix,
     StateVector,
-    _check_mixed_cap,
-    _check_pure_cap,
     bell_w_state,
-    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
     ket_basis,
     load_state,
     read_state_file,
+    state_defects,
     state_payload,
 )
 
@@ -124,23 +117,11 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    kind, n_qubits, array = read_state_file(args.state)
-    if kind == "pure":
-        _check_pure_cap(n_qubits)
-    _check_mixed_cap(n_qubits)  # the diagnosis works on the 4^n matrix
-    if kind == "pure":
-        array = np.outer(array, array.conj())
-    diag = diagnose_density(array)
-    sys.stdout.write(f"hermiticity_defect {format_float(diag.hermiticity_defect)}\n")
-    sys.stdout.write(f"trace_defect {format_float(diag.trace_defect)}\n")
-    sys.stdout.write(f"min_eigenvalue {format_float(diag.min_eigenvalue)}\n")
-    failed = []
-    if not diag.hermiticity_defect <= args.tol_hermitian:
-        failed.append(f"hermiticity_defect {format_float(diag.hermiticity_defect)}")
-    if not diag.trace_defect <= args.tol_trace:
-        failed.append(f"trace_defect {format_float(diag.trace_defect)}")
-    if not diag.min_eigenvalue >= -args.tol_psd:
-        failed.append(f"min_eigenvalue {format_float(diag.min_eigenvalue)}")
+    kind, _, array = read_state_file(args.state)
+    rows = [(f"{name} {format_float(defect)}", holds)
+            for name, defect, holds, _ in state_defects(kind, array)]
+    sys.stdout.write("".join(line + "\n" for line, _ in rows))
+    failed = [line for line, holds in rows if not holds]
     if failed:
         raise InvariantError("; ".join(failed))
     return 0
@@ -193,9 +174,6 @@ def _parser() -> argparse.ArgumentParser:
     survey_p.add_argument("--jobs", type=int, default=1,
                           help="kept for compatibility; the survey runs in one process")
     survey_p.add_argument("--out", default="-")
-    check_p.add_argument("--tol-hermitian", type=float, default=_HERMITIAN_TOL)
-    check_p.add_argument("--tol-trace", type=float, default=_TRACE_TOL)
-    check_p.add_argument("--tol-psd", type=float, default=_PSD_TOL)
     return parser
 
 

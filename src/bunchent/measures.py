@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bunching import BunchPartition, _pattern_blocks, _pattern_weights, enumerate_partitions
-from .states import _CHAIN_EIG_FLOOR, DensityMatrix, StateVector
+from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, DensityMatrix, StateVector
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -48,12 +48,12 @@ class EntanglementReport:
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) in bits, with h(0) = h(1) = 0."""
     x = float(x)
-    if x < -1e-12 or x > 1.0 + 1e-12:
+    if x < -_ENTROPY_SLACK or x > 1.0 + _ENTROPY_SLACK:
         raise ValueError(f"entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     total = 0.0
     for t in (x, 1.0 - x):
-        if t > 1e-300:
+        if t > _LOG_FLOOR:
             total -= t * math.log2(t)
     return total
 

@@ -33,6 +33,8 @@ _PSD_TOL = 1e-9            # density contract: most negative eigenvalue
 _WEIGHT_TOL = 1e-12        # |sum of mixture weights - 1|
 _ETA_FLOOR = 1e-14         # pattern weights below it read as exactly 0
 _CHAIN_EIG_FLOOR = 1e-14   # eigenvalues and lambda^2 in the chain read as 0 below it
+_ENTROPY_SLACK = 1e-12     # binary entropy accepts arguments this far outside [0, 1]
+_LOG_FLOOR = 1e-300        # binary entropy terms t log t with t at or below it read as 0
 
 
 def capacity_caps() -> tuple[int, int]:
@@ -54,20 +56,12 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_pure_cap(n_qubits: int) -> None:
-    cap = capacity_caps()[1]
+def _check_cap(kind: str, n_qubits: int) -> None:
+    """Refuse a pure or mixed state above its qubit cap, before allocating."""
+    mixed_cap, pure_cap = capacity_caps()
+    cap, noun = (pure_cap, "pure state") if kind == "pure" else (mixed_cap, "density matrix")
     if n_qubits > cap:
-        raise CapacityError(
-            f"pure state on {n_qubits} qubits exceeds the dense cap of {cap}"
-        )
-
-
-def _check_mixed_cap(n_qubits: int) -> None:
-    cap = capacity_caps()[0]
-    if n_qubits > cap:
-        raise CapacityError(
-            f"density matrix on {n_qubits} qubits exceeds the dense cap of {cap}"
-        )
+        raise CapacityError(f"{noun} on {n_qubits} qubits exceeds the dense cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,36 @@ def diagnose_density(matrix) -> DensityDiagnostics:
     return DensityDiagnostics(herm, trace, min_eig)
 
 
+def state_defects(kind: str, array: np.ndarray) -> list[tuple[str, float, bool, str]]:
+    """The state contract, as ordered (name, defect, holds, message) rows.
+
+    A pure amplitude vector has one row, its squared-norm defect. A mixed
+    matrix has the three rows of :func:`diagnose_density`; one holding a
+    NaN or infinity raises InvariantError before any eigensolver runs.
+    A NaN defect fails its row, since every comparison with NaN is false.
+    """
+    if kind == "pure":
+        norm_defect = abs(float(np.vdot(array, array).real) - 1.0)
+        return [("norm_defect", norm_defect, norm_defect <= _NORM_TOL,
+                 f"squared norm deviates from 1 by {norm_defect:.3e}")]
+    if not np.isfinite(array).all():
+        raise InvariantError("matrix holds a NaN or infinite entry")
+    diag = diagnose_density(array)
+    herm, trace, low = diag.hermiticity_defect, diag.trace_defect, diag.min_eigenvalue
+    return [
+        ("hermiticity_defect", herm, herm <= _HERMITIAN_TOL, f"not Hermitian: max asymmetry {herm:.3e}"),
+        ("trace_defect", trace, trace <= _TRACE_TOL, f"trace deviates from 1 by {trace:.3e}"),
+        ("min_eigenvalue", low, low >= -_PSD_TOL, f"not positive semidefinite: min eigenvalue {low:.3e}"),
+    ]
+
+
+def _enforce(kind: str, array: np.ndarray) -> None:
+    """Raise InvariantError with the message of the first failing contract row."""
+    for _, _, holds, message in state_defects(kind, array):
+        if not holds:
+            raise InvariantError(message)
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Pure state of n_qubits qubits as a flat amplitude vector.
@@ -108,15 +132,13 @@ class StateVector:
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        _check_pure_cap(self.n_qubits)
+        _check_cap("pure", self.n_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != 2 ** self.n_qubits:
             raise ValueError(
                 f"amplitude vector has length {amps.size}, expected {2 ** self.n_qubits}"
             )
-        norm2 = float(np.vdot(amps, amps).real)
-        if not abs(norm2 - 1.0) <= _NORM_TOL:
-            raise InvariantError(f"squared norm deviates from 1 by {abs(norm2 - 1.0):.3e}")
+        _enforce("pure", amps)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
     @property
@@ -134,20 +156,12 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
-        _check_mixed_cap(self.n_qubits)
+        _check_cap("mixed", self.n_qubits)
         mat = np.array(self.entries, dtype=np.complex128)
         d = 2 ** self.n_qubits
         if mat.shape != (d, d):
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
-        diag = diagnose_density(mat)
-        if not diag.hermiticity_defect <= _HERMITIAN_TOL:
-            raise InvariantError(f"not Hermitian: max asymmetry {diag.hermiticity_defect:.3e}")
-        if not diag.trace_defect <= _TRACE_TOL:
-            raise InvariantError(f"trace deviates from 1 by {diag.trace_defect:.3e}")
-        if not diag.min_eigenvalue >= -_PSD_TOL:
-            raise InvariantError(
-                f"not positive semidefinite: min eigenvalue {diag.min_eigenvalue:.3e}"
-            )
+        _enforce("mixed", mat)
         object.__setattr__(self, "entries", _freeze(mat))
 
     @property
@@ -180,7 +194,7 @@ def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
     bits = tuple(int(b) for b in bits)
     if len(bits) != n_qubits:
         raise ValueError(f"got {len(bits)} bits for {n_qubits} qubits")
-    _check_pure_cap(n_qubits)
+    _check_cap("pure", n_qubits)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
@@ -190,7 +204,7 @@ def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the qubits of `a` become the most significant labels."""
-    _check_pure_cap(a.n_qubits + b.n_qubits)
+    _check_cap("pure", a.n_qubits + b.n_qubits)
     return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
 
 
@@ -198,7 +212,7 @@ def ghz(n_qubits: int) -> StateVector:
     """(|00...0> + |11...1>) / sqrt(2) on n_qubits >= 2 qubits."""
     if n_qubits < 2:
         raise ValueError(f"ghz needs at least 2 qubits, got {n_qubits}")
-    _check_pure_cap(n_qubits)
+    _check_cap("pure", n_qubits)
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return StateVector(n_qubits, amps)
@@ -209,9 +223,8 @@ def bell_w_state(n_qubits: int, w: int) -> StateVector:
 
     The first branch has w leading zeros; the second is its bitwise
     complement. Requires 1 <= w < n_qubits; it is :func:`embedded_bell`
-    over every qubit, which validates n_qubits and w.
+    over every qubit, which validates n_qubits and w and checks the cap.
     """
-    _check_pure_cap(n_qubits)
     return embedded_bell(n_qubits, range(1, n_qubits + 1), w)
 
 
@@ -231,7 +244,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
         raise ValueError(f"subset {subset} not contained in 1..{m_total}")
     if not (1 <= w < n):
         raise ValueError(f"w must satisfy 1 <= w < {n}, got {w}")
-    _check_pure_cap(m_total)
+    _check_cap("pure", m_total)
     amps = np.zeros(2 ** m_total, dtype=np.complex128)
     for flip in (0, 1):
         index = sum(((k >= w) ^ flip) << (m_total - lab) for k, lab in enumerate(subset))
@@ -241,7 +254,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
 
 def densify(psi: StateVector) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
-    _check_mixed_cap(psi.n_qubits)
+    _check_cap("mixed", psi.n_qubits)
     amps = psi.amplitudes
     return _derived(psi.n_qubits, np.outer(amps, amps.conj()))
 
@@ -273,7 +286,7 @@ def entanglement_molecule(
     """
     if not weights:
         raise ValueError("molecule needs at least one subset")
-    _check_mixed_cap(m_total)
+    _check_cap("mixed", m_total)
     terms = []
     seen: set[tuple[int, ...]] = set()
     for subset, weight in weights.items():
@@ -339,8 +352,8 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
 
     Returns (kind, n_qubits, array) where the array is the amplitude
     vector or the density matrix, of dimension 2**n_qubits. Structural
-    problems raise FileFormatError; invariants are checked by
-    :func:`load_state`.
+    problems raise FileFormatError and a state above the qubit cap of its
+    kind CapacityError; :func:`state_defects` holds the invariants.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -377,6 +390,7 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
         raise FileFormatError(f"{path}: n_qubits must be a positive integer")
     elif n_qubits != size.bit_length() - 1:
         raise FileFormatError(f"{path}: dimension {size} does not match n_qubits {n_qubits}")
+    _check_cap(kind, n_qubits)
     return kind, n_qubits, array
 
 

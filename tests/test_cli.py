@@ -6,11 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bunchent import densify, ghz, load_state, save_state
-from bunchent import cli
 from bunchent.cli import main
-from helpers import random_mixed
+from helpers import random_mixed, random_pure
 
 
 @pytest.fixture(scope="module")
@@ -135,12 +136,17 @@ def test_survey_json_format(ghz3, capsys):
     assert all(row["concurrence"] == 0.0 for row in payload)
 
 
-def test_check_clean_state(ghz3, capsys):
+def test_check_clean_state(ghz3, tmp_path, capsys):
+    # a pure file has one contract row, a mixed file three
     assert main(["check", ghz3]) == 0
     out = capsys.readouterr().out.strip().split("\n")
-    assert out[0].startswith("hermiticity_defect ")
-    assert out[1].startswith("trace_defect ")
-    assert out[2].startswith("min_eigenvalue ")
+    assert len(out) == 1 and out[0].startswith("norm_defect ")
+
+    mixed = tmp_path / "ghz3_mixed.json"
+    save_state(densify(ghz(3)), mixed)
+    assert main(["check", str(mixed)]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert [line.split()[0] for line in out] == ["hermiticity_defect", "trace_defect", "min_eigenvalue"]
 
 
 def test_check_flags_bad_trace(tmp_path, capsys):
@@ -153,12 +159,71 @@ def test_check_flags_bad_trace(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
-def test_check_tolerance_flags(tmp_path, capsys):
-    path = tmp_path / "off.json"
-    payload = {"kind": "mixed", "n_qubits": 1, "matrix": [[[0.7, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
-    path.write_text(json.dumps(payload))
-    assert main(["check", str(path), "--tol-trace", "0.5"]) == 0
-    capsys.readouterr()
+def _write_state(path, kind, array):
+    field = "amplitudes" if kind == "pure" else "matrix"
+    pairs = np.stack([array.real, array.imag], axis=-1).tolist()
+    path.write_text(json.dumps({"kind": kind, field: pairs}))
+
+
+def test_check_rejects_pure_norm_band(ghz3, tmp_path, capsys):
+    # squared norm 1 + 5e-11 lies inside the density trace tolerance (1e-10)
+    # but outside the pure norm tolerance (1e-12): every command exits 4
+    path = tmp_path / "ghz3_long.json"
+    _write_state(path, "pure", load_state(ghz3).amplitudes * (1 + 5e-11) ** 0.5)
+    assert main(["check", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.startswith("norm_defect ")
+    assert captured.err.startswith("error: norm_defect ") and captured.err.count("\n") == 1
+    for argv in (["eof", str(path), "--a", "1", "--b", "2"], ["survey", str(path)]):
+        assert main(argv) == 4
+        assert "squared norm deviates from 1" in capsys.readouterr().err
+
+
+# defect sizes on both sides of each tolerance: 1e-12 (squared norm),
+# 1e-10 (hermiticity, trace) and 1e-9 (most negative eigenvalue)
+_DEFECT_SIZES = [0.0, 3e-13, 3e-12, 5e-11, 3e-10, 5e-10, 3e-9, 1e-6]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 3),
+    defect=st.sampled_from(["norm", "hermiticity", "trace", "eigenvalue"]),
+    size=st.sampled_from(_DEFECT_SIZES),
+    sign=st.sampled_from([1.0, -1.0]),
+)
+def test_check_agrees_with_load_state(tmp_path_factory, seed, n, defect, size, sign):
+    # check exits with the code of eof, which loads the file through load_state
+    rng = np.random.default_rng(seed)
+    path = tmp_path_factory.mktemp("contract") / "state.json"
+    if defect == "norm":
+        amps = random_pure(rng, n).amplitudes * (1.0 + sign * size) ** 0.5
+        _write_state(path, "pure", amps)
+    else:
+        rho = np.array(random_mixed(rng, n).entries)
+        if defect == "hermiticity":
+            rho[0, 1] += sign * size
+        elif defect == "trace":
+            rho *= 1.0 + sign * size
+        else:  # lowest eigenvalue -size, trace 1, exactly Hermitian
+            w = rng.random(2 ** n)
+            w[0] = -size
+            w[1:] *= (1.0 + size) / w[1:].sum()
+            u, _ = np.linalg.qr(rng.standard_normal(rho.shape) + 1j * rng.standard_normal(rho.shape))
+            rho = (u * w) @ u.conj().T
+            rho = 0.5 * (rho + rho.conj().T)
+        _write_state(path, "mixed", rho)
+    verdict = main(["check", str(path)])
+    assert verdict in (0, 4)
+    assert main(["eof", str(path), "--a", "1", "--b", "2"]) == verdict
+
+
+def test_check_pure_file_at_pure_cap(tmp_path, capsys):
+    # a pure file meets the pure cap (16), as in survey; its 4^16 matrix is never built
+    path = tmp_path / "ghz16.json"
+    assert main(["build", "ghz", "--n", "16", "--out", str(path)]) == 0
+    assert main(["check", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("norm_defect ") and out.count("\n") == 1
 
 
 def test_exit_code_usage_error(ghz3, capsys):
@@ -194,15 +259,15 @@ def test_exit_code_capacity(capsys):
 
 
 def test_check_pure_file_capacity(ghz3, tmp_path, monkeypatch, capsys):
-    # check densifies a pure file, so it meets the caps before the outer
-    # product; a mixed file meets the mixed cap before its diagnosis
+    # each kind meets its cap when the file is read, before any array work;
+    # no command builds the outer product of a pure file
     def refuse(*args):
         raise AssertionError("np.outer reached past the capacity check")
 
     mixed = tmp_path / "ghz3_mixed.json"
     save_state(densify(ghz(3)), mixed)
     monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "2")
-    monkeypatch.setattr(cli.np, "outer", refuse)
+    monkeypatch.setattr(np, "outer", refuse)
     for argv in (["check", ghz3], ["survey", ghz3], ["check", str(mixed)]):
         assert main(argv) == 3
         err = capsys.readouterr().err

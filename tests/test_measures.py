@@ -274,6 +274,22 @@ def test_input_validation():
         eof(DensityMatrix(2, beyond))
 
 
+@pytest.mark.filterwarnings("error")
+def test_eof_rejects_non_finite_matrix():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvariantError, match="NaN or infinite"):
+            eof(np.full((4, 4), bad))
+
+
+@pytest.mark.filterwarnings("error")
+def test_concurrence_rejects_non_finite_matrix():
+    rho = np.eye(4, dtype=complex) / 4.0
+    for bad in (np.nan, np.inf):
+        rho[0, 3] = rho[3, 0] = bad
+        with pytest.raises(InvariantError, match="NaN or infinite"):
+            concurrence(rho)
+
+
 # ---------------------------------------------------------------------------
 # bunch-level measures
 

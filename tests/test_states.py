@@ -176,6 +176,17 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.eye(2) / 2.0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_density_matrix_rejects_non_finite_before_eigensolver(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver reached on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvariantError, match="NaN or infinite"):
+            DensityMatrix(1, [[bad, 0.0], [0.0, 1.0]])
+
+
 def test_diagnose_density_clean_state():
     diag = diagnose_density(np.diag([0.5, 0.5]))
     assert diag.hermiticity_defect == 0.0
@@ -318,6 +329,8 @@ def test_partial_trace_validation(rng):
 def test_pure_cap_blocks_before_allocating():
     with pytest.raises(CapacityError):
         ghz(capacity_caps()[1] + 1)
+    with pytest.raises(CapacityError):
+        bell_w_state(40, 1)
 
 
 def test_mixed_cap_blocks_densify():
