@@ -14,18 +14,20 @@ Both stages pick entries of rho by basis index, so _pattern_blocks takes
 them in one gather; a pure state gathers its amplitudes through the same
 table and is never densified. logical_index, build_projector and
 compress_operator keep the stage-by-stage reference. bunch_reduce wraps
-the blocks in pattern objects; a survey keeps only each split's rho_ab
-and weights. Only caller data is validated.
+one split's blocks in pattern objects; a survey gathers same-size splits
+together, in bounded chunks, and keeps each split's rho_ab and weights.
+Only caller data is validated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, StateVector, _derived
+from .states import _ETA_FLOOR, DensityMatrix, StateVector, _derived, _freeze
 
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -171,40 +173,48 @@ def compress_operator(
     return mat[np.ix_(idx, idx)].copy()
 
 
-def _pattern_blocks(state: StateVector | DensityMatrix, partition: BunchPartition) -> np.ndarray:
-    """The (P, 4, 4) pattern blocks of a state, in enumerate_patterns order.
+@lru_cache(maxsize=None)
+def _row_bits(k: int) -> np.ndarray:
+    """The (k, 2^k) bits of every row index, most significant first, read-only."""
+    return _freeze((np.arange(2 ** k, dtype=np.int64) >> np.arange(k - 1, -1, -1)[:, None]) & 1)
 
-    Both stages are one gather through a (2^(n-2), 4) table of basis
+
+def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]) -> np.ndarray:
+    """The (S, P, 4, 4) pattern blocks of S splits that share one union
+    size m + n, each split's in enumerate_patterns order.
+
+    Both stages are one gather through a (S, 2^(n-2), 4) table of basis
     indices. A row's bits are the flip bits of the non-anchor members
     (bunch A, then B, as in enumerate_patterns), then the outsider bits in
     ascending label order; column 2i+j xors logical i into every qubit of
     bunch A and j into every qubit of bunch B. Each row picks a 4x4 block
     of rho, or for a pure state the outer product of four amplitudes, the
-    same numbers; summing over a pattern's rows gives its block.
+    same numbers; summing over a pattern's rows gives its block. A split's
+    sums run in the same order however many splits share the gather.
     """
-    labels = partition.labels
-    if max(labels) > state.n_qubits:
-        raise ValueError(
-            f"partition labels {labels} exceed the state's {state.n_qubits} qubits"
-        )
-    n, a, b = state.n_qubits, partition.bunch_a, partition.bunch_b
-    outsiders = tuple(x for x in range(1, n + 1) if x not in labels)
-    free = np.array(a[1:] + b[1:] + outsiders, dtype=np.int64)
-    rows = np.arange(2 ** free.size, dtype=np.int64)
-    base = ((rows[:, None] >> np.arange(free.size - 1, -1, -1)) & 1) @ (1 << (n - free))
-    flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
-    table = base[:, None] ^ np.array([0, flip_b, flip_a, flip_a ^ flip_b])
+    n, rows = state.n_qubits, []
+    for partition in partitions:
+        a, b, labels = partition.bunch_a, partition.bunch_b, partition.labels
+        if max(labels) > n:
+            raise ValueError(f"partition labels {labels} exceed the state's {n} qubits")
+        outsiders = tuple(x for x in range(1, n + 1) if x not in labels)
+        flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
+        # the free labels' weights, then the four columns
+        rows.append([1 << (n - x) for x in a[1:] + b[1:] + outsiders]
+                    + [0, flip_b, flip_a, flip_a ^ flip_b])
+    rows = np.array(rows, dtype=np.int64)
+    table = (rows[:, :-4] @ _row_bits(n - 2))[:, :, None] ^ rows[:, None, -4:]
     if isinstance(state, StateVector):
         amp = state.amplitudes[table]
-        blocks = amp[:, :, None] * amp.conj()[:, None, :]
+        blocks = amp[..., :, None] * amp.conj()[..., None, :]
     else:
-        blocks = state.entries[table[:, :, None], table[:, None, :]]
-    return blocks.reshape(2 ** (len(labels) - 2), -1, 4, 4).sum(axis=1)
+        blocks = state.entries[table[..., :, None], table[..., None, :]]
+    return blocks.reshape(len(partitions), 2 ** (len(labels) - 2), -1, 4, 4).sum(axis=2)
 
 
 def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     """Each block's trace eta, with weights below 1e-14 set to exactly 0."""
-    etas = blocks.trace(axis1=1, axis2=2).real
+    etas = blocks.trace(axis1=-2, axis2=-1).real
     return np.where(etas < _ETA_FLOOR, 0.0, etas)
 
 
@@ -214,7 +224,7 @@ def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    blocks = _pattern_blocks(state, partition)
+    blocks = _pattern_blocks(state, [partition])[0]
     components = tuple(
         ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
         for pattern, block, eta in zip(

@@ -57,7 +57,9 @@ def _freeze(array: np.ndarray) -> np.ndarray:
 
 
 def _check_cap(kind: str, n_qubits: int) -> None:
-    """Refuse a pure or mixed state above its qubit cap, before allocating."""
+    """Refuse a qubit count that is no positive int, or above its kind's cap, before allocating."""
+    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
     mixed_cap, pure_cap = capacity_caps()
     cap, noun = (pure_cap, "pure state") if kind == "pure" else (mixed_cap, "density matrix")
     if n_qubits > cap:
@@ -130,8 +132,6 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         _check_cap("pure", self.n_qubits)
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != 2 ** self.n_qubits:
@@ -154,8 +154,6 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_qubits, int) or self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits!r}")
         _check_cap("mixed", self.n_qubits)
         mat = np.array(self.entries, dtype=np.complex128)
         d = 2 ** self.n_qubits
@@ -386,7 +384,7 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     n_qubits = payload.get("n_qubits")
     if n_qubits is None:
         n_qubits = size.bit_length() - 1
-    elif not isinstance(n_qubits, int) or n_qubits < 1:
+    elif not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
         raise FileFormatError(f"{path}: n_qubits must be a positive integer")
     elif n_qubits != size.bit_length() - 1:
         raise FileFormatError(f"{path}: dimension {size} does not match n_qubits {n_qubits}")

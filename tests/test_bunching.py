@@ -27,6 +27,7 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent.bunching import _pattern_blocks
+from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
     oracle_blocks,
@@ -228,7 +229,7 @@ def test_derived_states_meet_contract(seed, n, rank):
             assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
 
     # a pure state gathers amplitudes, never densified, to the same bits
-    assert _pattern_blocks(psi, part).tobytes() == _pattern_blocks(pure, part).tobytes()
+    assert _pattern_blocks(psi, [part]).tobytes() == _pattern_blocks(pure, [part]).tobytes()
     from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
     assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
     assert from_psi.etas == from_rho.etas
@@ -254,6 +255,10 @@ def test_bunch_reduce_rejects_out_of_range(rng):
     rho = random_mixed(rng, 3)
     with pytest.raises(ValueError):
         bunch_reduce(rho, BunchPartition((1,), (4,)))
+    # a batch raises for its bad split, gathered apart from or with a good one
+    for good in (BunchPartition((1,), (2, 3)), BunchPartition((1,), (2,))):
+        with pytest.raises(ValueError, match="exceed"):
+            _measure_splits(rho, [good, BunchPartition((1,), (4,))])
 
 
 def test_tripartite_triple_matches_index_oracle(rng):

@@ -305,8 +305,8 @@ def test_exit_code_file_problems(tmp_path, capsys):
     assert main(["check", str(garbled)]) == 5
     capsys.readouterr()
 
-    # array sizes that contradict the declared n_qubits, then NaN and
-    # Infinity entries, which Python's json reads as numbers
+    # array sizes that contradict the declared n_qubits, NaN and Infinity
+    # entries, which Python's json reads as numbers, and a boolean n_qubits
     nan, inf = float("nan"), float("inf")
     payloads = [
         {"kind": "pure", "n_qubits": 2, "amplitudes": [[3**-0.5, 0.0]] * 3},
@@ -315,6 +315,8 @@ def test_exit_code_file_problems(tmp_path, capsys):
         {"kind": "pure", "n_qubits": 2, "amplitudes": [[nan, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
         {"kind": "pure", "n_qubits": 2, "amplitudes": [[inf, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]},
         {"kind": "mixed", "n_qubits": 1, "matrix": [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
+        # a JSON true is not a qubit count, though Python's bool is an int
+        {"kind": "pure", "n_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
     ]
     for k, payload in enumerate(payloads):
         path = tmp_path / f"bad{k}.json"

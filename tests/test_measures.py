@@ -7,6 +7,7 @@ Frozen reference values:
 """
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -250,6 +251,35 @@ def test_batched_splits_match_single_and_reference(seed, n, rank, count):
     assert [_row(r) for r in _measure_splits(psi, parts)] == [
         _row(r) for r in _measure_splits(densify(psi), parts)
     ]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), pure=st.booleans())
+def test_chunked_gather_matches_unchunked(seed, n, pure):
+    # splits of mixed union sizes in random order: every chunk size, down
+    # to one split per gather, must write each split's rows into its own slot
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng, n) if pure else random_mixed(rng, n)
+    parts = [random_split(rng, n) for _ in range(12)]
+    rows = [_row(r) for r in _measure_splits(state, parts)]
+    assert rows == [_row(_measure_splits(state, [p])[0]) for p in parts]
+    # a split gathers 2^(n+2) entries, so these chunks hold 1 to 7 splits
+    for entries in (1, int(rng.integers(1, 8 << (n + 2)))):
+        with mock.patch.object(measures, "_GATHER_ENTRIES", entries):
+            assert [_row(r) for r in _measure_splits(state, parts)] == rows
+
+
+def test_survey_gathers_in_bounded_chunks():
+    # 2,211 splits of a 12-qubit state: one unchunked gather would hold
+    # about 580 MB, a chunk holds two splits (512 KiB)
+    psi = random_pure(np.random.default_rng(12), 12)
+    tracemalloc.start()
+    try:
+        rows = survey(psi, max_bunch=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 2211
+    assert peak < 16 * 2**20
 
 
 def test_input_validation():

@@ -176,6 +176,26 @@ def test_density_matrix_validation():
         DensityMatrix(2, np.eye(2) / 2.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StateVector(True, [1.0, 0.0]),
+        lambda: DensityMatrix(True, np.eye(2) / 2.0),
+        lambda: ket_basis(True, [1]),
+        lambda: ghz(True),
+        lambda: bell_w_state(True, 1),
+        lambda: embedded_bell(True, (1, 2), 1),
+        lambda: entanglement_molecule(True, 2, 1, {(1, 2): 1.0}),
+    ],
+    ids=["StateVector", "DensityMatrix", "ket_basis", "ghz", "bell_w_state",
+         "embedded_bell", "entanglement_molecule"],
+)
+def test_bool_qubit_count_rejected(build):
+    # bool is an int subclass, so True would otherwise pass as one qubit
+    with pytest.raises(ValueError):
+        build()
+
+
 @pytest.mark.filterwarnings("error")
 def test_density_matrix_rejects_non_finite_before_eigensolver(monkeypatch):
     def refuse(*args, **kwargs):
@@ -393,6 +413,7 @@ def test_read_state_file_rejections(tmp_path):
         (json.dumps({"kind": "mixed", "matrix": [[[1.0, 0.0]], [[0.0, 0.0]]]}), FileFormatError),
         (json.dumps({"kind": "pure", "amplitudes": [[1.0, 0.0]] * 3}), FileFormatError),
         (json.dumps({"kind": "pure", "n_qubits": "two", "amplitudes": [[1.0, 0.0]] * 4}), FileFormatError),
+        (json.dumps({"kind": "pure", "n_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}), FileFormatError),
         # array size against the declared n_qubits
         (json.dumps({"kind": "pure", "n_qubits": 2, "amplitudes": [[1.0, 0.0]] * 3}), FileFormatError),
         (json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [[[1 / 3, 0.0]] * 3] * 3}), FileFormatError),
