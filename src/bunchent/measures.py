@@ -9,10 +9,12 @@ h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
 decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
 stack of states: a survey gathers same-size splits together, in bounded
 chunks, then measures the whole list of splits with one eigh and one svd.
+Its CSV and JSON tables are written directly, one template per record.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -148,15 +150,12 @@ def survey(
 
 
 # ---------------------------------------------------------------------------
-# report serialization
+# report serialization. Survey writers fill one template per record; json writes a number as
+# repr(float(format_float(x))): for 0 and 1e-300 <= |x| < 1e11, %.12g plus ".0" if no "." or "e".
 
 def format_float(x: float) -> str:
     """Decimal form with 12 significant digits."""
     return f"{float(x):.12g}"
-
-
-def _join_labels(labels: tuple[int, ...]) -> str:
-    return "-".join(str(x) for x in labels)
 
 
 def report_json_dict(report: EntanglementReport) -> dict:
@@ -185,9 +184,31 @@ def survey_csv(reports: list[EntanglementReport]) -> str:
         part = rep.partition
         if part is None or rep.etas is None:
             raise ValueError("survey rows need partition context")
-        etas = ";".join(format_float(e) for e in rep.etas)
-        lines.append(
-            f"{_join_labels(part.bunch_a)},{_join_labels(part.bunch_b)},{part.m},{part.n},"
-            f"{format_float(rep.concurrence)},{format_float(rep.eof)},{etas}"
-        )
+        row = "%s,%s,%d,%d,%.12g,%.12g," + ";".join(["%.12g"] * len(rep.etas))
+        lines.append(row % ("-".join(map(str, part.bunch_a)), "-".join(map(str, part.bunch_b)),
+                            part.m, part.n, rep.concurrence, rep.eof, *rep.etas))
     return "\n".join(lines) + "\n"
+
+
+def _json_list(items) -> str:
+    return "[\n      " + ",\n      ".join(map(str, items)) + "\n    ]" if items else "[]"
+
+
+_JSON_RECORD = ('  {\n    "concurrence": %s,\n    "eof": %s,\n    "lambdas": %s,\n'
+                '    "bunch_a": %s,\n    "bunch_b": %s,\n    "etas": %s\n  }')
+
+
+def survey_json(reports: list[EntanglementReport]) -> str:
+    """Survey results as JSON: json.dumps(report_json_dict records, indent=2) + newline."""
+    records = []
+    for rep in reports:
+        part = rep.partition
+        if part is None or rep.etas is None:
+            raise ValueError("survey rows need partition context")
+        values = (rep.concurrence, rep.eof, *rep.lambdas, *rep.etas)
+        text = [(s if "." in s or "e" in s else s + ".0")
+                if 1e-300 <= abs(x) < 1e11 or x == 0.0 else json.dumps(float(s))
+                for x, s in zip(values, ("%.12g " * len(values) % values).split())]
+        lists = map(_json_list, (text[2:6], part.bunch_a, part.bunch_b, text[6:]))
+        records.append(_JSON_RECORD % (text[0], text[1], *lists))
+    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"

@@ -349,14 +349,14 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     """Parse a state file without enforcing state invariants.
 
     Returns (kind, n_qubits, array) where the array is the amplitude
-    vector or the density matrix, of dimension 2**n_qubits. Structural
-    problems raise FileFormatError and a state above the qubit cap of its
-    kind CapacityError; :func:`state_defects` holds the invariants.
+    vector or the density matrix, of dimension 2**n_qubits. Structural problems
+    raise FileFormatError, and a state above its kind's qubit cap CapacityError
+    before its array is built; :func:`state_defects` holds the invariants.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
@@ -366,8 +366,14 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     field = "amplitudes" if kind == "pure" else "matrix"
     if field not in payload:
         raise FileFormatError(f"{path}: missing field {field!r}")
+    n_qubits, entries = payload.get("n_qubits"), payload[field]
+    if n_qubits is not None and (type(n_qubits) is not int or n_qubits < 1):  # bool is no count
+        raise FileFormatError(f"{path}: n_qubits must be a positive integer")
+    _check_cap(kind, n_qubits or max(1, len(entries).bit_length() - 1 if type(entries) is list else 1))
     try:
-        raw = np.asarray(payload[field], dtype=np.float64)
+        raw = np.asarray(entries)  # no dtype: a float64 cast would parse strings
+        if raw.dtype.kind not in "iuf":
+            raise TypeError(raw.dtype)
     except (TypeError, ValueError):
         raise FileFormatError(f"{path}: field {field!r} is not a numeric array") from None
     if not np.isfinite(raw).all():
@@ -381,14 +387,10 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
         raise FileFormatError(f"{path}: matrix is not square: shape {array.shape}")
     if size < 2 or size & (size - 1):
         raise FileFormatError(f"{path}: dimension {size} is not a power of two")
-    n_qubits = payload.get("n_qubits")
     if n_qubits is None:
         n_qubits = size.bit_length() - 1
-    elif not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
-        raise FileFormatError(f"{path}: n_qubits must be a positive integer")
     elif n_qubits != size.bit_length() - 1:
         raise FileFormatError(f"{path}: dimension {size} does not match n_qubits {n_qubits}")
-    _check_cap(kind, n_qubits)
     return kind, n_qubits, array
 
 

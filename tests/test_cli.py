@@ -262,13 +262,17 @@ def test_check_pure_file_capacity(ghz3, tmp_path, monkeypatch, capsys):
     # each kind meets its cap when the file is read, before any array work;
     # no command builds the outer product of a pure file
     def refuse(*args):
-        raise AssertionError("np.outer reached past the capacity check")
+        raise AssertionError("array work reached past the capacity check")
 
     mixed = tmp_path / "ghz3_mixed.json"
     save_state(densify(ghz(3)), mixed)
+    # above the cap and malformed: the cap is met first, so this exits 3, not 5
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"kind": "mixed", "matrix": [[["x", "0"]] * 8] * 8}))
     monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "2")
     monkeypatch.setattr(np, "outer", refuse)
-    for argv in (["check", ghz3], ["survey", ghz3], ["check", str(mixed)]):
+    monkeypatch.setattr(np, "asarray", refuse)
+    for argv in (["check", ghz3], ["survey", ghz3], ["check", str(mixed)], ["check", str(malformed)]):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the dense cap of 2" in err
@@ -304,6 +308,11 @@ def test_exit_code_file_problems(tmp_path, capsys):
     garbled.write_text("{not json")
     assert main(["check", str(garbled)]) == 5
     capsys.readouterr()
+    # undecodable bytes are a file problem too, named with the file's path
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe{")
+    assert main(["check", str(latin)]) == 5
+    assert capsys.readouterr().err.startswith(f"error: {latin}: not valid JSON (")
 
     # array sizes that contradict the declared n_qubits, NaN and Infinity
     # entries, which Python's json reads as numbers, and a boolean n_qubits
@@ -317,6 +326,10 @@ def test_exit_code_file_problems(tmp_path, capsys):
         {"kind": "mixed", "n_qubits": 1, "matrix": [[[nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]},
         # a JSON true is not a qubit count, though Python's bool is an int
         {"kind": "pure", "n_qubits": True, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]},
+        # strings are not numbers, though a float64 cast would parse them,
+        # and neither is an array made only of booleans
+        {"kind": "pure", "n_qubits": 1, "amplitudes": [["1", "0"], [False, 0]]},
+        {"kind": "pure", "n_qubits": 1, "amplitudes": [[True, False], [False, False]]},
     ]
     for k, payload in enumerate(payloads):
         path = tmp_path / f"bad{k}.json"

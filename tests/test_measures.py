@@ -6,6 +6,7 @@ Frozen reference values:
   - binary_entropy(0.8) = 0.7219280948873623
 """
 
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -35,7 +36,7 @@ from bunchent import (
     survey_csv,
 )
 from bunchent import measures
-from bunchent.measures import _measure_splits, format_float, report_json_dict
+from bunchent.measures import _measure_splits, format_float, report_json_dict, survey_json
 from helpers import oracle_blocks, random_mixed, random_pure, random_split
 
 _WERNER_C = 0.25
@@ -390,5 +391,50 @@ def test_survey_csv_layout():
     assert (first[2], first[3]) == ("1", "2")
     assert float(first[4]) == pytest.approx(1.0, abs=1e-11)
     assert ";" in first[6]
-    with pytest.raises(ValueError):
-        survey_csv([eof(_bell())])
+    for writer in (survey_csv, survey_json):
+        with pytest.raises(ValueError, match="partition context"):
+            writer([eof(_bell())])
+
+
+# every double, with the edges of the 12-digit rule drawn on purpose: signed
+# zero, the smallest subnormal, the switch to exponent form below 1e-4, and
+# the 1e11 bound below which json's repr and %.12g agree digit for digit
+_REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-05, 0.0001, 99999999999.4, 1e11, 1e16]),
+    st.floats(),
+)
+
+
+@st.composite
+def _survey_reports(draw) -> list[EntanglementReport]:
+    reports = []
+    for _ in range(draw(st.integers(0, 3))):
+        labels = draw(st.lists(st.integers(1, 64), min_size=2, max_size=32, unique=True))
+        cut = draw(st.integers(max(1, len(labels) - 16), min(16, len(labels) - 1)))
+        reports.append(EntanglementReport(
+            draw(_REPORT_FLOATS),
+            draw(_REPORT_FLOATS),
+            tuple(draw(st.lists(_REPORT_FLOATS, min_size=4, max_size=4))),
+            BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])),
+            tuple(draw(st.lists(_REPORT_FLOATS, max_size=8))),
+        ))
+    return reports
+
+
+@given(reports=_survey_reports())
+def test_survey_json_is_the_json_encoder(reports):
+    expected = json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n"
+    assert survey_json(reports) == expected
+
+
+@given(reports=_survey_reports())
+def test_survey_csv_formats_each_value_as_format_float(reports):
+    lines = ["bunch_a,bunch_b,m,n,concurrence,eof,eta_list"]
+    for rep in reports:
+        part = rep.partition
+        lines.append(",".join([
+            "-".join(str(x) for x in part.bunch_a), "-".join(str(x) for x in part.bunch_b),
+            str(part.m), str(part.n), format_float(rep.concurrence), format_float(rep.eof),
+            ";".join(format_float(e) for e in rep.etas),
+        ]))
+    assert survey_csv(reports) == "\n".join(lines) + "\n"
