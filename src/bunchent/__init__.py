@@ -33,13 +33,11 @@ from .measures import (
     survey_csv,
 )
 from .states import (
-    DensityDiagnostics,
     DensityMatrix,
     StateVector,
     bell_w_state,
     capacity_caps,
     densify,
-    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
@@ -49,6 +47,7 @@ from .states import (
     normalize,
     partial_trace,
     save_state,
+    state_defects,
     tensor,
 )
 
@@ -59,7 +58,6 @@ __all__ = [
     "BunchReduction",
     "BunchentError",
     "CapacityError",
-    "DensityDiagnostics",
     "DensityMatrix",
     "EntanglementReport",
     "FileFormatError",
@@ -75,7 +73,6 @@ __all__ = [
     "compress_operator",
     "concurrence",
     "densify",
-    "diagnose_density",
     "embedded_bell",
     "entanglement_molecule",
     "enumerate_partitions",
@@ -92,6 +89,7 @@ __all__ = [
     "reduction_report",
     "save_state",
     "spin_flip",
+    "state_defects",
     "survey",
     "survey_csv",
     "tensor",

@@ -13,8 +13,6 @@ import json
 import sys
 from itertools import combinations
 
-import numpy as np
-
 from .bunching import BunchPartition, bunch_reduce, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
 from .measures import eof_bunches, format_float, report_json_dict, survey, survey_csv, survey_json
@@ -110,10 +108,7 @@ def _cmd_eof(args: argparse.Namespace) -> int:
 def _cmd_survey(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    state = load_state(args.state)
-    # a freed 16 MiB block lifts glibc's mmap/trim thresholds, so chunk temporaries stay mapped
-    np.empty(16 << 20, dtype=np.uint8)
-    reports = survey(state, args.max_bunch, args.full_cover)
+    reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
     _emit(survey_csv(reports) if args.format == "csv" else survey_json(reports), args.out)
     return 0
 
@@ -167,7 +162,6 @@ def _parser() -> argparse.ArgumentParser:
     for sp in (reduce_p, eof_p):
         sp.add_argument("--a", required=True, help="bunch A labels, anchor first, e.g. 1")
         sp.add_argument("--b", required=True, help="bunch B labels, anchor first, e.g. 2,3")
-    reduce_p.add_argument("--format", default="json", choices=["json"])
     reduce_p.add_argument("--out", default="-")
     eof_p.add_argument("--out", default=None, help="also write the report JSON here")
     survey_p.add_argument("--full-cover", action="store_true", help="only pairs covering every qubit")

@@ -54,7 +54,7 @@ class EntanglementReport:
 def binary_entropy(x: float) -> float:
     """Binary entropy h(x) in bits, with h(0) = h(1) = 0."""
     x = float(x)
-    if x < -_ENTROPY_SLACK or x > 1.0 + _ENTROPY_SLACK:
+    if not -_ENTROPY_SLACK <= x <= 1.0 + _ENTROPY_SLACK:  # negated, so NaN fails
         raise ValueError(f"entropy argument {x} outside [0, 1]")
     x = min(max(x, 0.0), 1.0)
     total = 0.0
@@ -117,7 +117,12 @@ def _measure_splits(
 ) -> list[EntanglementReport]:
     """Reports for a list of splits, in order: splits of one union size are
     gathered together, at most _GATHER_ENTRIES entries per gather, and each
-    chunk's rows fill their splits' own slots; one chain runs on the stack."""
+    chunk's rows fill their splits' own slots; one chain runs on the stack.
+
+    It first frees an untouched block twice the largest gather (1 MiB up to
+    13 qubits, 8 MiB at 16); that lifts glibc's mmap and trim thresholds, so
+    chunk temporaries stay in the heap, not mapped and faulted in per chunk."""
+    np.empty(32 * max(_GATHER_ENTRIES, 4 << state.n_qubits), dtype=np.uint8)
     groups: dict[int, list[int]] = {}
     for k, partition in enumerate(partitions):
         groups.setdefault(len(partition.labels), []).append(k)

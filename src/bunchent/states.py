@@ -66,46 +66,32 @@ def _check_cap(kind: str, n_qubits: int) -> None:
         raise CapacityError(f"{noun} on {n_qubits} qubits exceeds the dense cap of {cap}")
 
 
-@dataclass(frozen=True)
-class DensityDiagnostics:
-    """How far a matrix sits from the density-matrix contract."""
+def state_defects(kind: str, array) -> list[tuple[str, float, bool, str]]:
+    """The state contract as ordered (name, defect, holds, message) rows: the
+    rows `bunchent check` prints and every constructor enforces.
 
-    hermiticity_defect: float
-    trace_defect: float
-    min_eigenvalue: float
-
-
-def diagnose_density(matrix) -> DensityDiagnostics:
-    """Measure hermiticity, trace and positivity defects of a candidate density matrix.
-
-    The minimum eigenvalue is taken on the Hermitian part, so the verdict
-    stays meaningful for inputs with small asymmetries.
+    A pure vector has one, its squared-norm defect. A mixed matrix has three:
+    max |m - m^dagger|, |trace - 1| and the lowest eigenvalue of the Hermitian
+    part (m + m^dagger) / 2. A NaN or infinite entry raises InvariantError
+    before any eigensolver runs; a NaN defect fails its row. ValueError: a kind
+    not "pure" or "mixed", a pure array not 1-D, a mixed one not square.
     """
-    m = np.asarray(getattr(matrix, "entries", matrix), dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    herm = float(np.abs(m - m.conj().T).max())
-    trace = float(abs(m.trace() - 1.0))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    return DensityDiagnostics(herm, trace, min_eig)
-
-
-def state_defects(kind: str, array: np.ndarray) -> list[tuple[str, float, bool, str]]:
-    """The state contract, as ordered (name, defect, holds, message) rows.
-
-    A pure amplitude vector has one row, its squared-norm defect. A mixed
-    matrix has the three rows of :func:`diagnose_density`; one holding a
-    NaN or infinity raises InvariantError before any eigensolver runs.
-    A NaN defect fails its row, since every comparison with NaN is false.
-    """
+    if kind not in ("pure", "mixed"):
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {kind!r}")
+    m = np.asarray(array, dtype=np.complex128)
     if kind == "pure":
-        norm_defect = abs(float(np.vdot(array, array).real) - 1.0)
+        if m.ndim != 1:
+            raise ValueError(f"expected an amplitude vector, got shape {m.shape}")
+        norm_defect = abs(float(np.vdot(m, m).real) - 1.0)
         return [("norm_defect", norm_defect, norm_defect <= _NORM_TOL,
                  f"squared norm deviates from 1 by {norm_defect:.3e}")]
-    if not np.isfinite(array).all():
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
         raise InvariantError("matrix holds a NaN or infinite entry")
-    diag = diagnose_density(array)
-    herm, trace, low = diag.hermiticity_defect, diag.trace_defect, diag.min_eigenvalue
+    herm = float(np.abs(m - m.conj().T).max())
+    trace = float(abs(m.trace() - 1.0))
+    low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
     return [
         ("hermiticity_defect", herm, herm <= _HERMITIAN_TOL, f"not Hermitian: max asymmetry {herm:.3e}"),
         ("trace_defect", trace, trace <= _TRACE_TOL, f"trace deviates from 1 by {trace:.3e}"),
@@ -141,10 +127,6 @@ class StateVector:
         _enforce("pure", amps)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -161,10 +143,6 @@ class DensityMatrix:
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
         _enforce("mixed", mat)
         object.__setattr__(self, "entries", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
 
 def _derived(n_qubits: int, entries: np.ndarray) -> DensityMatrix:

@@ -18,7 +18,6 @@ from bunchent import (
     bunch_reduce,
     compress_operator,
     densify,
-    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     enumerate_partitions,
@@ -27,6 +26,7 @@ from bunchent import (
     eof_bunches,
     ghz,
     partial_trace,
+    state_defects,
     tripartite_triple,
 )
 from bunchent.cli import main
@@ -248,10 +248,8 @@ def test_criterion_7_eta_normalization(capsys):
         red = bunch_reduce(rho, part)
         worst_sum = max(worst_sum, abs(sum(red.etas) - 1.0))
         worst_range = max(worst_range, *(max(-e, e - 1.0) for e in red.etas))
-        diag = diagnose_density(red.rho_ab)
-        worst_defect = max(
-            worst_defect, diag.hermiticity_defect, diag.trace_defect, -diag.min_eigenvalue
-        )
+        herm, trace, low = (defect for _, defect, _, _ in state_defects("mixed", red.rho_ab.entries))
+        worst_defect = max(worst_defect, herm, trace, -low)
     ok = worst_sum < 1e-12 and worst_range <= 0.0 + 1e-12 and worst_defect < 1e-9
     _verdict(
         capsys, 7, ok,

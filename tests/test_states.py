@@ -20,7 +20,6 @@ from bunchent import (
     bell_w_state,
     capacity_caps,
     densify,
-    diagnose_density,
     embedded_bell,
     entanglement_molecule,
     ghz,
@@ -30,6 +29,7 @@ from bunchent import (
     normalize,
     partial_trace,
     save_state,
+    state_defects,
     tensor,
 )
 from bunchent.states import read_state_file
@@ -207,22 +207,41 @@ def test_density_matrix_rejects_non_finite_before_eigensolver(monkeypatch):
             DensityMatrix(1, [[bad, 0.0], [0.0, 1.0]])
 
 
-def test_diagnose_density_clean_state():
-    diag = diagnose_density(np.diag([0.5, 0.5]))
-    assert diag.hermiticity_defect == 0.0
-    assert diag.trace_defect == 0.0
-    assert diag.min_eigenvalue == pytest.approx(0.5)
+def _defects(kind, array):
+    return {name: (defect, holds) for name, defect, holds, _ in state_defects(kind, array)}
 
 
-def test_diagnose_density_reports_defects():
+def test_state_defects_clean_state():
+    defects = _defects("mixed", np.diag([0.5, 0.5]))
+    assert list(defects) == ["hermiticity_defect", "trace_defect", "min_eigenvalue"]
+    assert defects["hermiticity_defect"] == (0.0, True)
+    assert defects["trace_defect"] == (0.0, True)
+    assert defects["min_eigenvalue"][0] == pytest.approx(0.5)
+    assert _defects("pure", np.array([_INV, _INV])) == {"norm_defect": (pytest.approx(0.0), True)}
+
+
+def test_state_defects_reports_defects():
     asym = np.array([[1.0, 0.2], [0.0, 0.0]])
-    diag = diagnose_density(asym)
-    assert diag.hermiticity_defect == pytest.approx(0.2)
-    assert diag.trace_defect == 0.0
-    assert diag.min_eigenvalue < 0.0
+    defects = _defects("mixed", asym)
+    assert defects["hermiticity_defect"] == (pytest.approx(0.2), False)
+    assert defects["trace_defect"] == (0.0, True)
+    assert defects["min_eigenvalue"][0] < 0.0
+    assert not defects["min_eigenvalue"][1]
 
     off_trace = np.diag([0.6, 0.5])
-    assert diagnose_density(off_trace).trace_defect == pytest.approx(0.1)
+    assert _defects("mixed", off_trace)["trace_defect"] == (pytest.approx(0.1), False)
+    assert _defects("pure", np.array([1.0, 1.0]))["norm_defect"] == (pytest.approx(1.0), False)
+
+
+def test_state_defects_rejects_bad_input():
+    with pytest.raises(ValueError, match="square"):
+        state_defects("mixed", np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        state_defects("mixed", np.zeros(4))
+    with pytest.raises(ValueError, match="amplitude vector"):
+        state_defects("pure", np.eye(2) / np.sqrt(2.0))
+    with pytest.raises(ValueError, match="kind"):
+        state_defects("density", np.eye(2) / 2)
 
 
 def test_densify_rank_one(rng):
