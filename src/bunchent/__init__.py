@@ -12,12 +12,9 @@ from .bunching import (
     BunchReduction,
     PatternPair,
     ReductionComponent,
-    build_projector,
     bunch_reduce,
-    compress_operator,
     enumerate_partitions,
     enumerate_patterns,
-    logical_index,
     reduction_report,
     tripartite_triple,
 )
@@ -28,7 +25,6 @@ from .measures import (
     concurrence,
     eof,
     eof_bunches,
-    spin_flip,
     survey,
     survey_csv,
 )
@@ -67,10 +63,8 @@ __all__ = [
     "StateVector",
     "bell_w_state",
     "binary_entropy",
-    "build_projector",
     "bunch_reduce",
     "capacity_caps",
-    "compress_operator",
     "concurrence",
     "densify",
     "embedded_bell",
@@ -82,13 +76,11 @@ __all__ = [
     "ghz",
     "ket_basis",
     "load_state",
-    "logical_index",
     "mix",
     "normalize",
     "partial_trace",
     "reduction_report",
     "save_state",
-    "spin_flip",
     "state_defects",
     "survey",
     "survey_csv",

@@ -12,9 +12,9 @@ the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, so _pattern_blocks takes
 them in one gather; a pure state gathers its amplitudes through the same
-table and is never densified. logical_index, build_projector and
-compress_operator keep the stage-by-stage reference. bunch_reduce wraps
-one split's blocks in pattern objects; a survey gathers same-size splits
+table and is never densified. This is the package's only reduction; the
+stage-by-stage projector route is a test reference. bunch_reduce wraps one
+split's blocks in pattern objects; a survey gathers same-size splits
 together, in bounded chunks, and keeps each split's rho_ab and weights.
 Only caller data is validated.
 """
@@ -28,8 +28,6 @@ from itertools import product
 import numpy as np
 
 from .states import _ETA_FLOOR, DensityMatrix, StateVector, _derived, _freeze
-
-_LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,6 @@ class PatternPair:
     mask_a: tuple[int, ...]
     mask_b: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.mask_a)
-        b = tuple(int(x) for x in self.mask_b)
-        if any(bit not in (0, 1) for bit in a + b):
-            raise ValueError(f"pattern masks must hold bits, got {a} and {b}")
-        object.__setattr__(self, "mask_a", a)
-        object.__setattr__(self, "mask_b", b)
-
 
 @dataclass(frozen=True, eq=False)
 class ReductionComponent:
@@ -112,65 +102,6 @@ def enumerate_patterns(partition: BunchPartition) -> list[PatternPair]:
         for ma in product((0, 1), repeat=partition.m - 1)
         for mb in product((0, 1), repeat=partition.n - 1)
     ]
-
-
-def logical_index(
-    partition: BunchPartition, pattern: PatternPair, i: int, j: int
-) -> int:
-    """Basis index carrying logical value i on bunch A and j on bunch B.
-
-    The partition must span qubits 1..(m+n) exactly, i.e. the reduction to
-    the bunched qubits has already been applied. Anchors take the logical
-    value directly; other members take it xor their flip bit.
-    """
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError(f"logical values must be bits, got ({i}, {j})")
-    size = partition.m + partition.n
-    if sorted(partition.labels) != list(range(1, size + 1)):
-        raise ValueError(
-            f"partition {partition.bunch_a} / {partition.bunch_b} does not span 1..{size}"
-        )
-    if len(pattern.mask_a) != partition.m - 1 or len(pattern.mask_b) != partition.n - 1:
-        raise ValueError(
-            f"pattern {pattern} does not match bunch sizes ({partition.m}, {partition.n})"
-        )
-    bits = [0] * size
-    bits[partition.bunch_a[0] - 1] = i
-    for lab, flip in zip(partition.bunch_a[1:], pattern.mask_a):
-        bits[lab - 1] = i ^ flip
-    bits[partition.bunch_b[0] - 1] = j
-    for lab, flip in zip(partition.bunch_b[1:], pattern.mask_b):
-        bits[lab - 1] = j ^ flip
-    return sum(bit << (size - k) for k, bit in enumerate(bits, 1))
-
-
-def build_projector(partition: BunchPartition, pattern: PatternPair) -> np.ndarray:
-    """4 x 2^(m+n) projection onto a pattern subspace.
-
-    Row 2i+j holds a single 1 at the basis index of logical (i, j); the
-    conjugate transpose is the matching interior injection.
-    """
-    size = 2 ** (partition.m + partition.n)
-    proj = np.zeros((4, size), dtype=np.complex128)
-    for i, j in _LOGICAL_ORDER:
-        proj[2 * i + j, logical_index(partition, pattern, i, j)] = 1.0
-    return proj
-
-
-def compress_operator(
-    operator, partition: BunchPartition, pattern: PatternPair
-) -> np.ndarray:
-    """Compress a 2^(m+n) operator onto a pattern subspace by bit indexing.
-
-    Equals build_projector(...) @ operator @ build_projector(...).conj().T;
-    the direct entry selection avoids the matrix products.
-    """
-    mat = np.asarray(getattr(operator, "entries", operator), dtype=np.complex128)
-    size = 2 ** (partition.m + partition.n)
-    if mat.shape != (size, size):
-        raise ValueError(f"operator has shape {mat.shape}, expected {(size, size)}")
-    idx = [logical_index(partition, pattern, i, j) for i, j in _LOGICAL_ORDER]
-    return mat[np.ix_(idx, idx)].copy()
 
 
 @lru_cache(maxsize=None)

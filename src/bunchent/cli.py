@@ -74,13 +74,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 raise ValueError("--weights is not valid JSON") from None
             if not isinstance(raw, dict):
                 raise ValueError("--weights must be a JSON object")
-            try:
-                weights = {
-                    _parse_labels(key.replace("-", ","), "--weights key"): float(val)
-                    for key, val in raw.items()
-                }
-            except TypeError:
-                raise ValueError("--weights values must be numbers") from None
+            if any(type(val) not in (int, float) for val in raw.values()):  # bool is no weight
+                raise ValueError("--weights values must be JSON numbers")
+            weights = {
+                _parse_labels(key.replace("-", ","), "--weights key"): float(val)
+                for key, val in raw.items()
+            }
         state = entanglement_molecule(args.m, args.n, args.w, weights)
     else:  # pragma: no cover - argparse restricts the choices
         raise ValueError(f"unknown build kind {args.kind!r}")

@@ -72,14 +72,6 @@ def _as_two_qubit(rho) -> np.ndarray:
     return rho.entries
 
 
-def spin_flip(rho) -> np.ndarray:
-    """Spin-flipped companion (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    mat = np.asarray(getattr(rho, "entries", rho), dtype=np.complex128)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {mat.shape}")
-    return _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
-
-
 def _spin_flip_spectrum(mats: np.ndarray) -> np.ndarray:
     """Descending lambdas, shape (S, 4), of a (S, 4, 4) stack of states."""
     w, v = np.linalg.eigh(mats)

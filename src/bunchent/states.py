@@ -347,7 +347,8 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     n_qubits, entries = payload.get("n_qubits"), payload[field]
     if n_qubits is not None and (type(n_qubits) is not int or n_qubits < 1):  # bool is no count
         raise FileFormatError(f"{path}: n_qubits must be a positive integer")
-    _check_cap(kind, n_qubits or max(1, len(entries).bit_length() - 1 if type(entries) is list else 1))
+    # the larger of the declared and the implied count: an understated n_qubits passes no big file
+    _check_cap(kind, max(n_qubits or 1, len(entries).bit_length() - 1 if type(entries) is list else 1))
     try:
         raw = np.asarray(entries)  # no dtype: a float64 cast would parse strings
         if raw.dtype.kind not in "iuf":

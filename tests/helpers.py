@@ -1,7 +1,10 @@
 """Random-state builders and hand-rolled oracles shared across test modules.
 
-Everything takes an explicit numpy Generator so seeds stay visible at the
-call sites.
+The oracles include the reduction's stage-by-stage projector route
+(logical_index, build_projector, compress_operator) and the spin flip,
+which the package computes in one gather and one stacked chain instead.
+Random builders take an explicit numpy Generator so seeds stay visible at
+the call sites.
 """
 
 from itertools import product
@@ -11,12 +14,15 @@ import numpy as np
 from bunchent import (
     BunchPartition,
     DensityMatrix,
+    PatternPair,
     StateVector,
-    compress_operator,
     enumerate_partitions,
     enumerate_patterns,
     partial_trace,
 )
+from bunchent.measures import _SPIN_FLIP
+
+_LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def random_pure(rng: np.random.Generator, n_qubits: int) -> StateVector:
@@ -44,6 +50,51 @@ def random_split(rng: np.random.Generator, n_qubits: int) -> BunchPartition:
     labels = [int(x) + 1 for x in rng.permutation(n_qubits)[: int(rng.integers(2, n_qubits + 1))]]
     cut = int(rng.integers(1, len(labels)))
     return BunchPartition(tuple(labels[:cut]), tuple(labels[cut:]))
+
+
+def logical_index(partition: BunchPartition, pattern: PatternPair, i: int, j: int) -> int:
+    """Basis index carrying logical value i on bunch A and j on bunch B.
+
+    The partition must span qubits 1..(m+n) exactly, i.e. the reduction to
+    the bunched qubits has already been applied. Anchors take the logical
+    value directly; other members take it xor their flip bit.
+    """
+    size = partition.m + partition.n
+    bits = [0] * size
+    bits[partition.bunch_a[0] - 1] = i
+    for lab, flip in zip(partition.bunch_a[1:], pattern.mask_a):
+        bits[lab - 1] = i ^ flip
+    bits[partition.bunch_b[0] - 1] = j
+    for lab, flip in zip(partition.bunch_b[1:], pattern.mask_b):
+        bits[lab - 1] = j ^ flip
+    return sum(bit << (size - k) for k, bit in enumerate(bits, 1))
+
+
+def build_projector(partition: BunchPartition, pattern: PatternPair) -> np.ndarray:
+    """4 x 2^(m+n) projection onto a pattern subspace.
+
+    Row 2i+j holds a single 1 at the basis index of logical (i, j); the
+    conjugate transpose is the matching interior injection.
+    """
+    size = 2 ** (partition.m + partition.n)
+    proj = np.zeros((4, size), dtype=np.complex128)
+    for i, j in _LOGICAL_ORDER:
+        proj[2 * i + j, logical_index(partition, pattern, i, j)] = 1.0
+    return proj
+
+
+def compress_operator(operator, partition: BunchPartition, pattern: PatternPair) -> np.ndarray:
+    """Compress a 2^(m+n) operator onto a pattern subspace by bit indexing:
+    build_projector(...) @ operator @ build_projector(...).conj().T."""
+    mat = np.asarray(getattr(operator, "entries", operator), dtype=np.complex128)
+    idx = [logical_index(partition, pattern, i, j) for i, j in _LOGICAL_ORDER]
+    return mat[np.ix_(idx, idx)]
+
+
+def spin_flip(rho) -> np.ndarray:
+    """Spin-flipped companion (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
+    mat = np.asarray(getattr(rho, "entries", rho), dtype=np.complex128)
+    return _SPIN_FLIP @ mat.conj() @ _SPIN_FLIP
 
 
 def oracle_blocks(rho: DensityMatrix, part: BunchPartition) -> list[np.ndarray]:
@@ -75,3 +126,43 @@ def tripartite_oracle(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         second[row, col] = e(j, i, j, l, k, l) + e(1 - j, i, j, 1 - l, k, l)
         third[row, col] = e(j, j, i, l, l, k) + e(j, 1 - j, i, l, 1 - l, k)
     return first, second, third
+
+
+def ordered_reduction(
+    state: StateVector | DensityMatrix, part: BunchPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """A split's (P, 4, 4) pattern blocks and its rho_ab, each summed one
+    term at a time from +0.0: the order the printed numbers depend on.
+
+    A block adds one 4x4 term per outsider assignment, the outsiders'
+    bits counted in binary with the lowest label most significant; a
+    term is the gathered 4x4 block of rho, or for a pure state the outer
+    product of four amplitudes. rho_ab adds the blocks in
+    enumerate_patterns order.
+    """
+    n = state.n_qubits
+    outsiders = [x for x in range(1, n + 1) if x not in part.labels]
+
+    def index(pattern, rest, i, j):
+        bits = dict(zip(outsiders, rest))
+        bits[part.bunch_a[0]], bits[part.bunch_b[0]] = i, j
+        bits.update((lab, i ^ flip) for lab, flip in zip(part.bunch_a[1:], pattern.mask_a))
+        bits.update((lab, j ^ flip) for lab, flip in zip(part.bunch_b[1:], pattern.mask_b))
+        return sum(bit << (n - lab) for lab, bit in bits.items())
+
+    blocks = []
+    for pattern in enumerate_patterns(part):
+        acc = np.zeros((4, 4), dtype=np.complex128)
+        for rest in product((0, 1), repeat=len(outsiders)):
+            idx = np.array([index(pattern, rest, i, j) for i, j in _LOGICAL_ORDER])
+            if isinstance(state, StateVector):
+                amp = state.amplitudes[idx]
+                term = amp[:, None] * amp.conj()[None, :]
+            else:
+                term = state.entries[np.ix_(idx, idx)]
+            acc = acc + term
+        blocks.append(acc)
+    rho_ab = np.zeros((4, 4), dtype=np.complex128)
+    for block in blocks:
+        rho_ab = rho_ab + block
+    return np.array(blocks), rho_ab

