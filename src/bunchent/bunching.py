@@ -16,6 +16,11 @@ table and is never densified. This is the package's only reduction; the
 stage-by-stage projector route is a test reference. bunch_reduce wraps one
 split's blocks in pattern objects; a survey gathers same-size splits
 together, in bounded chunks, and keeps each split's rho_ab and weights.
+Where several of a survey's splits share one label union of k <= 7
+qubits, _union_states takes the first stage once for all of them, the
+union's 2^k x 2^k partial trace, and _union_blocks reads each split's
+pattern blocks out of it. Both routes add the same terms in the same
+order, so every block has the same bits on either.
 Only caller data is validated.
 """
 
@@ -61,6 +66,15 @@ class BunchPartition:
     @property
     def labels(self) -> tuple[int, ...]:
         return self.bunch_a + self.bunch_b
+
+
+def _split(bunch_a: tuple[int, ...], bunch_b: tuple[int, ...]) -> BunchPartition:
+    """A partition of labels already checked, without __post_init__: only
+    enumerate_partitions uses it."""
+    partition = object.__new__(BunchPartition)
+    object.__setattr__(partition, "bunch_a", bunch_a)
+    object.__setattr__(partition, "bunch_b", bunch_b)
+    return partition
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,14 @@ def _row_bits(k: int) -> np.ndarray:
     return _freeze((np.arange(2 ** k, dtype=np.int64) >> np.arange(k - 1, -1, -1)[:, None]) & 1)
 
 
+def _union(partition: BunchPartition, n: int) -> tuple[int, ...]:
+    """A split's labels in ascending order; a label beyond n qubits raises."""
+    union = tuple(sorted(partition.labels))
+    if union[-1] > n:
+        raise ValueError(f"partition labels {partition.labels} exceed the state's {n} qubits")
+    return union
+
+
 def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]) -> np.ndarray:
     """The (S, P, 4, 4) pattern blocks of S splits that share one union
     size m + n, each split's in enumerate_patterns order.
@@ -121,13 +143,12 @@ def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPa
     bunch A and j into every qubit of bunch B. Each row picks a 4x4 block
     of rho, or for a pure state the outer product of four amplitudes, the
     same numbers; summing over a pattern's rows gives its block. A split's
-    sums run in the same order however many splits share the gather.
+    sums run in the same order however many splits share the gather. Its
+    callers check the labels against the state with _union.
     """
     n, rows = state.n_qubits, []
     for partition in partitions:
         a, b, labels = partition.bunch_a, partition.bunch_b, partition.labels
-        if max(labels) > n:
-            raise ValueError(f"partition labels {labels} exceed the state's {n} qubits")
         outsiders = tuple(x for x in range(1, n + 1) if x not in labels)
         flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
         # the free labels' weights, then the four columns
@@ -143,6 +164,65 @@ def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPa
     return blocks.reshape(len(partitions), 2 ** (len(labels) - 2), -1, 4, 4).sum(axis=2)
 
 
+def _union_states(
+    state: StateVector | DensityMatrix, unions: list[tuple[int, ...]], rows: int
+) -> np.ndarray:
+    """The (C, 2^k, 2^k) partial traces of a state onto C ascending label
+    unions of one size k, the union's bits most significant first.
+
+    Each entry adds one term per outsider row, the outsider bits counted
+    in ascending label order as _pattern_blocks counts them, so a block
+    read from it has _pattern_blocks' bits. At most `rows` outsider rows of
+    each union are gathered at once; a later gather adds the running sum
+    into its first row, so the additions keep their order.
+    """
+    n, k = state.n_qubits, len(unions[0])
+    weights = np.array([[1 << (n - x) for x in range(1, n + 1) if x not in union]
+                        + [1 << (n - x) for x in union] for union in unions], dtype=np.int64)
+    outer = weights[:, :n - k] @ _row_bits(n - k)   # (C, 2^(n-k)) outsider offsets
+    inner = weights[:, n - k:] @ _row_bits(k)       # (C, 2^k) union offsets
+    total = None
+    for lo in range(0, outer.shape[1], rows):
+        table = outer[:, lo:lo + rows, None] | inner[:, None, :]
+        if isinstance(state, StateVector):
+            amp = state.amplitudes[table]
+            terms = amp[..., :, None] * amp.conj()[..., None, :]
+        else:
+            terms = state.entries[table[..., :, None], table[..., None, :]]
+        # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
+        terms = np.ascontiguousarray(terms)
+        if total is not None:
+            terms[:, 0] += total
+        total = terms.sum(axis=1)
+        del terms  # one block alive at a time: the next one is gathered without it
+    return total
+
+
+@lru_cache(maxsize=4096)
+def _union_positions(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...]) -> np.ndarray:
+    """The (P, 4, 4) flat positions of a split's pattern blocks in its
+    union's reduced state, from the bunches' places in the union; read-only."""
+    k = len(ranks_a) + len(ranks_b)
+    flip_a, flip_b = (sum(1 << (k - 1 - r) for r in ranks) for ranks in (ranks_a, ranks_b))
+    free = np.array([1 << (k - 1 - r) for r in ranks_a[1:] + ranks_b[1:]], dtype=np.int64)
+    pos = (free @ _row_bits(k - 2))[:, None] ^ np.array([0, flip_b, flip_a, flip_a ^ flip_b])
+    return _freeze((pos[:, :, None] << k) | pos[:, None, :])
+
+
+def _union_blocks(
+    reduced: np.ndarray, unions: list[tuple[int, ...]], placed: list[tuple[int, BunchPartition]]
+) -> np.ndarray:
+    """The (S, P, 4, 4) pattern blocks of S splits, each given as (c, split)
+    with reduced[c] the reduced state of its union, unions[c]."""
+    ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in unions]
+    index = np.array([
+        _union_positions(tuple(map(ranks[c], p.bunch_a)), tuple(map(ranks[c], p.bunch_b)))
+        for c, p in placed
+    ])
+    index += np.array([c for c, _ in placed])[:, None, None, None] * reduced[0].size
+    return reduced.reshape(-1)[index]
+
+
 def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     """Each block's trace eta, with weights below 1e-14 set to exactly 0."""
     etas = blocks.trace(axis1=-2, axis2=-1).real
@@ -155,6 +235,7 @@ def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
+    _union(partition, state.n_qubits)
     blocks = _pattern_blocks(state, [partition])[0]
     components = tuple(
         ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
@@ -211,9 +292,9 @@ def enumerate_partitions(
         # bunch B draws from the labels above A's anchor that A leaves
         rest = tuple(x for x in labels if x > a[0] and x not in a)
         if not full_cover:
-            found.extend(BunchPartition(a, b) for b in _subsets(rest, cap))
+            found.extend(_split(a, b) for b in _subsets(rest, cap))
         elif a[0] == 1 and 0 < len(rest) <= cap:
-            found.append(BunchPartition(a, rest))
+            found.append(_split(a, rest))
     return found
 
 

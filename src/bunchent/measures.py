@@ -20,7 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bunching import BunchPartition, _pattern_blocks, _pattern_weights, enumerate_partitions
+from .bunching import (
+    BunchPartition,
+    _pattern_blocks,
+    _pattern_weights,
+    _union,
+    _union_blocks,
+    _union_states,
+    enumerate_partitions,
+)
 from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, DensityMatrix, StateVector
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
@@ -107,25 +115,52 @@ def eof(rho) -> EntanglementReport:
 def _measure_splits(
     state: StateVector | DensityMatrix, partitions: list[BunchPartition]
 ) -> list[EntanglementReport]:
-    """Reports for a list of splits, in order: splits of one union size are
-    gathered together, at most _GATHER_ENTRIES entries per gather, and each
-    chunk's rows fill their splits' own slots; one chain runs on the stack.
+    """Reports for a list of splits, in order; one chain runs on the stack
+    of their rho_ab, and each gather holds at most _GATHER_ENTRIES entries.
+
+    Splits group by label union. A union of k qubits that two or more
+    splits share, with 4^k <= _GATHER_ENTRIES (k <= 7), is reduced once:
+    _union_states gathers chunks of such unions of one size, or one union
+    in blocks of outsider rows, and _union_blocks reads each split's blocks
+    from the result (a survey has at most 2^(k-1) - 1 splits per union, so
+    the blocks of a chunk stay within _GATHER_ENTRIES too). Every other split, a lone one included, is gathered
+    by _pattern_blocks with the splits of its union size, in chunks. Both
+    routes sum in one order, so a split's bits do not depend on its route.
 
     It first frees an untouched block twice the largest gather (1 MiB up to
     13 qubits, 8 MiB at 16); that lifts glibc's mmap and trim thresholds, so
     chunk temporaries stay in the heap, not mapped and faulted in per chunk."""
-    np.empty(32 * max(_GATHER_ENTRIES, 4 << state.n_qubits), dtype=np.uint8)
-    groups: dict[int, list[int]] = {}
+    n = state.n_qubits
+    np.empty(32 * max(_GATHER_ENTRIES, 4 << n), dtype=np.uint8)
+    unions: dict[tuple[int, ...], list[int]] = {}
     for k, partition in enumerate(partitions):
-        groups.setdefault(len(partition.labels), []).append(k)
-    step = max(1, _GATHER_ENTRIES >> (state.n_qubits + 2))  # 2^(n-2) rows of 16 per split
+        unions.setdefault(_union(partition, n), []).append(k)
+    shared: dict[int, list[tuple[int, ...]]] = {}
+    alone: dict[int, list[int]] = {}
+    for union, members in unions.items():
+        if len(members) > 1 and 4 ** len(union) <= _GATHER_ENTRIES:
+            shared.setdefault(len(union), []).append(union)
+        else:
+            alone.setdefault(len(union), []).extend(members)
     stack = np.empty((len(partitions), 4, 4), dtype=np.complex128)
     etas: list = [None] * len(partitions)
-    for chunk in (g[lo:lo + step] for g in groups.values() for lo in range(0, len(g), step)):
-        blocks = _pattern_blocks(state, [partitions[k] for k in chunk])
+
+    def keep(chunk: list[int], blocks: np.ndarray) -> None:
         for k, rho_ab, row in zip(chunk, blocks.sum(axis=1), _pattern_weights(blocks).tolist()):
             stack[k] = rho_ab
             etas[k] = tuple(row)
+
+    step = max(1, _GATHER_ENTRIES >> (n + 2))  # 2^(n-2) rows of 16 per split
+    for chunk in (g[lo:lo + step] for g in alone.values() for lo in range(0, len(g), step)):
+        keep(chunk, _pattern_blocks(state, [partitions[k] for k in chunk]))
+    for size, group in shared.items():
+        step = max(1, _GATHER_ENTRIES >> (n + size))  # 2^(n-k) rows of 4^k per union
+        for lo in range(0, len(group), step):
+            chunk = group[lo:lo + step]
+            reduced = _union_states(state, chunk, _GATHER_ENTRIES >> 2 * size)
+            placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
+            keep([k for _, k in placed],
+                 _union_blocks(reduced, chunk, [(c, partitions[k]) for c, k in placed]))
     return [
         _report(lam, partition, eta)
         for lam, partition, eta in zip(_spin_flip_spectrum(stack), partitions, etas)

@@ -16,8 +16,13 @@ from bunchent import (
     DensityMatrix,
     PatternPair,
     StateVector,
+    densify,
+    embedded_bell,
     enumerate_partitions,
     enumerate_patterns,
+    ghz,
+    mix,
+    normalize,
     partial_trace,
 )
 from bunchent.measures import _SPIN_FLIP
@@ -38,6 +43,21 @@ def random_mixed(rng: np.random.Generator, n_qubits: int, rank: int | None = Non
     g = rng.standard_normal((d, r)) + 1j * rng.standard_normal((d, r))
     gram = g @ g.conj().T
     return DensityMatrix(n_qubits, gram / gram.trace().real)
+
+
+def sparse_state(
+    rng: np.random.Generator, n_qubits: int, pure: bool
+) -> StateVector | DensityMatrix:
+    """A state holding exact zeros: GHZ and a two-branch state on random
+    labels, superposed with a random complex weight (pure) or mixed."""
+    size = int(rng.integers(2, n_qubits + 1))
+    subset = sorted(int(x) + 1 for x in rng.permutation(n_qubits)[:size])
+    branch = embedded_bell(n_qubits, subset, int(rng.integers(1, len(subset))))
+    if pure:
+        weight = complex(rng.standard_normal(), rng.standard_normal())
+        return normalize(ghz(n_qubits).amplitudes + weight * branch.amplitudes)
+    weight = float(rng.uniform(0.1, 0.9))
+    return mix([(weight, densify(ghz(n_qubits))), (1.0 - weight, densify(branch))])
 
 
 def random_partition(rng: np.random.Generator, n_qubits: int) -> BunchPartition:

@@ -1,5 +1,6 @@
 """Pattern subspaces and the two-stage bunch reduction."""
 
+from collections import Counter
 from itertools import combinations
 from unittest import mock
 
@@ -25,7 +26,8 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import measures
-from bunchent.bunching import _pattern_blocks
+from bunchent.bunching import _pattern_blocks, _pattern_weights
+from bunchent.bunching import _union_blocks as union_blocks
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
@@ -38,6 +40,7 @@ from helpers import (
     random_partition,
     random_pure,
     random_split,
+    sparse_state,
     tripartite_oracle,
 )
 
@@ -228,36 +231,66 @@ def test_derived_states_meet_contract(seed, n, rank):
     outsiders=st.integers(0, 5),
     pure=st.booleans(),
     count=st.integers(1, 4),
+    shared=st.booleans(),
+    zeros=st.booleans(),
+    rows=st.integers(0, 3),
 )
-@example(seed=0, n=7, outsiders=5, pure=False, count=2)  # 32 rows per pattern
-@example(seed=0, n=7, outsiders=0, pure=True, count=2)  # 32 patterns per split
-def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count):
+@example(seed=0, n=7, outsiders=5, pure=False, count=2, shared=False, zeros=False, rows=0)  # 32 rows per pattern
+@example(seed=0, n=7, outsiders=0, pure=True, count=2, shared=False, zeros=False, rows=0)  # 32 patterns per split
+@example(seed=0, n=7, outsiders=4, pure=True, count=3, shared=True, zeros=False, rows=0)  # 16 rows, one gather
+@example(seed=0, n=7, outsiders=3, pure=False, count=3, shared=True, zeros=False, rows=3)  # 8 rows in gathers of 3
+@example(seed=1, n=6, outsiders=2, pure=True, count=4, shared=True, zeros=True, rows=1)  # zeros, a row per gather
+def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, shared, zeros, rows):
     # printed numbers depend on the order of every sum, so the gathered
-    # blocks, bunch_reduce's rho_ab and the survey's stacked rho_ab must
-    # equal a one-term-at-a-time loop to the bit; -0.0 against 0.0 counts
+    # blocks, bunch_reduce's rho_ab and the survey's stacked rho_ab and
+    # etas must equal a one-term-at-a-time loop to the bit; -0.0 against
+    # 0.0 counts. Splits of one union take the union route, and `rows`
+    # shrinks its gathers so that a union's rows span several of them.
     rng = np.random.default_rng(seed)
-    state = random_pure(rng, n) if pure else random_mixed(rng, n, int(rng.integers(1, 5)))
+    if zeros:
+        state = sparse_state(rng, n, pure)
+    else:
+        state = random_pure(rng, n) if pure else random_mixed(rng, n, int(rng.integers(1, 5)))
     size = n - min(outsiders, n - 2)
+    union = [int(x) + 1 for x in rng.permutation(n)[:size]]
     splits = []
     for _ in range(count):  # one union size, so they share one gather
-        labels = [int(x) + 1 for x in rng.permutation(n)[:size]]
+        if shared:  # one union, so the union route runs
+            labels = [union[int(x)] for x in rng.permutation(size)]
+        else:
+            labels = [int(x) + 1 for x in rng.permutation(n)[:size]]
         cut = int(rng.integers(1, size))
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
+    budget = (rows << 2 * size) if rows else measures._GATHER_ENTRIES
+    read = []
+
+    def record(reduced, unions, placed):
+        blocks = union_blocks(reduced, unions, placed)
+        read.extend(zip((part for _, part in placed), blocks))
+        return blocks
+
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
-    ) as chain:
-        _measure_splits(state, splits)
+    ) as chain, mock.patch.object(measures, "_union_blocks", side_effect=record), \
+            mock.patch.object(measures, "_GATHER_ENTRIES", budget):
+        reports = _measure_splits(state, splits)
     stack = chain.call_args.args[0]
     gathered = _pattern_blocks(state, splits)
+    sharing = Counter(frozenset(p.labels) for p in splits)
+    assert len(read) == (sum(c for c in sharing.values() if c > 1) if 4 ** size <= budget else 0)
 
     def bits(x):
         return np.ascontiguousarray(x).view(np.int64)
 
+    reference = {part: ordered_reduction(state, part) for part in splits}
     for k, part in enumerate(splits):
-        blocks, rho_ab = (bits(x) for x in ordered_reduction(state, part))
-        assert np.array_equal(bits(gathered[k]), blocks)
-        assert np.array_equal(bits(bunch_reduce(state, part).rho_ab.entries), rho_ab)
-        assert np.array_equal(bits(stack[k]), rho_ab)
+        blocks, rho_ab = reference[part]
+        assert np.array_equal(bits(gathered[k]), bits(blocks))
+        assert np.array_equal(bits(bunch_reduce(state, part).rho_ab.entries), bits(rho_ab))
+        assert np.array_equal(bits(stack[k]), bits(rho_ab))
+        assert np.array_equal(bits(np.array(reports[k].etas)), bits(_pattern_weights(blocks)))
+    for part, blocks in read:
+        assert np.array_equal(bits(blocks), bits(reference[part][0]))
 
 
 def test_singleton_pair_equals_partial_trace(rng):
@@ -284,6 +317,12 @@ def test_bunch_reduce_rejects_out_of_range(rng):
     for good in (BunchPartition((1,), (2, 3)), BunchPartition((1,), (2,))):
         with pytest.raises(ValueError, match="exceed"):
             _measure_splits(rho, [good, BunchPartition((1,), (4,))])
+    # and beside two splits that share a union, before that union is reduced
+    shared = [BunchPartition((1,), (2, 3)), BunchPartition((1, 2), (3,))]
+    with mock.patch.object(measures, "_union_states") as route:
+        with pytest.raises(ValueError, match=r"\(2, 4\) exceed"):
+            _measure_splits(rho, [*shared, BunchPartition((2,), (4,))])
+    assert route.call_count == 0
 
 
 def test_tripartite_triple_matches_index_oracle(rng):
@@ -347,6 +386,8 @@ def test_enumerate_partitions_counts_and_order():
                 )
                 got = enumerate_partitions(n, max_bunch, full_cover)
                 assert [(p.bunch_a, p.bunch_b) for p in got] == want
+                # built without __post_init__, equal to checked partitions
+                assert got == [BunchPartition(a, b) for a, b in want]
 
     with pytest.raises(ValueError):
         enumerate_partitions(1)

@@ -26,6 +26,7 @@ from bunchent import (
     InvariantError,
     bell_w_state,
     binary_entropy,
+    bunch_reduce,
     concurrence,
     densify,
     eof,
@@ -283,6 +284,40 @@ def test_survey_gathers_in_bounded_chunks():
         tracemalloc.stop()
     assert len(rows) == 2211
     assert peak < 16 * 2**20
+
+
+def test_union_route_bounds_its_gathers():
+    # three splits share the union 1-4 of a 14-qubit state: its 1,024
+    # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time,
+    # so the peak is the 2 MiB block freed to lift glibc's thresholds
+    psi = random_pure(np.random.default_rng(14), 14)
+    parts = [BunchPartition((1, 2), (3, 4)), BunchPartition((1, 3), (2, 4)), BunchPartition((1, 4), (2, 3))]
+    with mock.patch.object(measures, "_union_states", wraps=measures._union_states) as route:
+        tracemalloc.start()
+        try:
+            rows = _measure_splits(psi, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert route.call_count == 1
+    assert [_row(r) for r in rows] == [_row(_measure_splits(psi, [p])[0]) for p in parts]
+    assert peak < 3 * 2**20
+
+
+def test_union_route_choice():
+    # the union route runs only where two or more splits share a union of
+    # at most 7 qubits: never for one split, nor for an 8-qubit full cover
+    rng = np.random.default_rng(6)
+    psi, part = random_pure(rng, 6), BunchPartition((1, 3), (2, 5))
+    with mock.patch.object(measures, "_union_states", wraps=measures._union_states) as route:
+        eof_bunches(psi, part)
+        eof_bunches(densify(psi), part)
+        bunch_reduce(psi, part)
+        assert route.call_count == 0
+        assert len(survey(ghz(8), full_cover=True)) == 127
+        assert route.call_count == 0
+        survey(psi, max_bunch=2)
+        assert route.call_count > 0
 
 
 _FAULTS_SCRIPT = """
