@@ -10,17 +10,14 @@ pattern subspace and sums the compressed blocks into a single two-qubit
 operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
-Both stages pick entries of rho by basis index, so _pattern_blocks takes
-them in one gather; a pure state gathers its amplitudes through the same
-table and is never densified. This is the package's only reduction; the
-stage-by-stage projector route is a test reference. bunch_reduce wraps one
-split's blocks in pattern objects; a survey gathers same-size splits
-together, in bounded chunks, and keeps each split's rho_ab and weights.
-Where several of a survey's splits share one label union of k <= 7
-qubits, _union_states takes the first stage once for all of them, the
-union's 2^k x 2^k partial trace, and _union_blocks reads each split's
-pattern blocks out of it. Both routes add the same terms in the same
-order, so every block has the same bits on either.
+Both stages pick entries of rho by basis index, so one function,
+_gather_sums, takes them: it sums the terms of each outsider row in one
+order, within one budget of gathered entries, and gathers a pure state's
+amplitudes without densifying it. _pattern_blocks hands it each pattern's
+four columns. Where splits share a label union of k <= 7 qubits,
+_union_states hands it the union's 2^k columns once, and _union_blocks
+reads every split's pattern blocks out of that partial trace, to the same
+bits. The stage-by-stage projector route is a test reference.
 Only caller data is validated.
 """
 
@@ -118,10 +115,29 @@ def enumerate_patterns(partition: BunchPartition) -> list[PatternPair]:
     ]
 
 
+# complex entries one gather may hold (512 KiB): survey times matched from
+# 2^14 to 2^16, and 2^16 raised a GHZ-8 full cover's peak RSS by 2.4 MB
+_GATHER_ENTRIES = 2 ** 15
+
+
 @lru_cache(maxsize=None)
 def _row_bits(k: int) -> np.ndarray:
     """The (k, 2^k) bits of every row index, most significant first, read-only."""
     return _freeze((np.arange(2 ** k, dtype=np.int64) >> np.arange(k - 1, -1, -1)[:, None]) & 1)
+
+
+def _outsider_weights(labels: tuple[int, ...], n: int) -> list[int]:
+    """The weights of the qubits outside `labels`, ascending labels: counted
+    with the lowest most significant, the row order every reduction sums in."""
+    return [1 << (n - x) for x in range(1, n + 1) if x not in labels]
+
+
+def _pattern_layout(weights_a: list[int], weights_b: list[int]) -> tuple[list[int], list[int]]:
+    """From each bunch's member weights, anchor first: the non-anchor flip bits'
+    weights (A, then B), counting the patterns in enumerate_patterns order, and
+    the columns; column 2i+j xors logical i into all of bunch A, j into all of B."""
+    flip_a, flip_b = sum(weights_a), sum(weights_b)
+    return weights_a[1:] + weights_b[1:], [0, flip_b, flip_a, flip_a ^ flip_b]
 
 
 def _union(partition: BunchPartition, n: int) -> tuple[int, ...]:
@@ -132,70 +148,60 @@ def _union(partition: BunchPartition, n: int) -> tuple[int, ...]:
     return union
 
 
+def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The (G, K, K) sums of G groups, given as (G, R) row offsets and
+    (G, K) column offsets: group g adds, over its rows r in order, the
+    K x K term of the basis states outer[g, r] ^ inner[g], the outer product
+    of their amplitudes for a pure state or the block of rho between them.
+
+    No gather holds more than _GATHER_ENTRIES term entries: it takes as many
+    whole groups as fit, or one group in blocks of rows, each block adding
+    the running sum into its first row so that the sums keep their order."""
+    (count, rows), width = outer.shape, inner.shape[1]
+    groups = max(1, min(count, _GATHER_ENTRIES // (rows * width * width)))
+    step = max(1, _GATHER_ENTRIES // (groups * width * width))
+    sums = []
+    for g in range(0, count, groups):
+        for lo in range(0, rows, step):
+            table = outer[g:g + groups, lo:lo + step, None] ^ inner[g:g + groups, None, :]
+            if isinstance(state, StateVector):
+                amp = state.amplitudes[table]
+                terms = amp[..., :, None] * amp.conj()[..., None, :]
+            else:
+                terms = state.entries[table[..., :, None], table[..., None, :]]
+            # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
+            terms = np.ascontiguousarray(terms)
+            if lo:  # carry the sum of the rows before this block
+                terms[:, 0] += total
+            total = terms.sum(axis=1)
+            del terms  # one block alive at a time: the next one is gathered without it
+        sums.append(total)
+    return np.concatenate(sums) if len(sums) > 1 else total
+
+
 def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]) -> np.ndarray:
     """The (S, P, 4, 4) pattern blocks of S splits that share one union
-    size m + n, each split's in enumerate_patterns order.
-
-    Both stages are one gather through a (S, 2^(n-2), 4) table of basis
-    indices. A row's bits are the flip bits of the non-anchor members
-    (bunch A, then B, as in enumerate_patterns), then the outsider bits in
-    ascending label order; column 2i+j xors logical i into every qubit of
-    bunch A and j into every qubit of bunch B. Each row picks a 4x4 block
-    of rho, or for a pure state the outer product of four amplitudes, the
-    same numbers; summing over a pattern's rows gives its block. A split's
-    sums run in the same order however many splits share the gather. Its
-    callers check the labels against the state with _union.
-    """
-    n, rows = state.n_qubits, []
-    for partition in partitions:
-        a, b, labels = partition.bunch_a, partition.bunch_b, partition.labels
-        outsiders = tuple(x for x in range(1, n + 1) if x not in labels)
-        flip_a, flip_b = (sum(1 << (n - x) for x in bunch) for bunch in (a, b))
-        # the free labels' weights, then the four columns
-        rows.append([1 << (n - x) for x in a[1:] + b[1:] + outsiders]
-                    + [0, flip_b, flip_a, flip_a ^ flip_b])
-    rows = np.array(rows, dtype=np.int64)
-    table = (rows[:, :-4] @ _row_bits(n - 2))[:, :, None] ^ rows[:, None, -4:]
-    if isinstance(state, StateVector):
-        amp = state.amplitudes[table]
-        blocks = amp[..., :, None] * amp.conj()[..., None, :]
-    else:
-        blocks = state.entries[table[..., :, None], table[..., None, :]]
-    return blocks.reshape(len(partitions), 2 ** (len(labels) - 2), -1, 4, 4).sum(axis=2)
+    size m + n, each split's in enumerate_patterns order. Each pattern is a
+    group of _gather_sums: its columns, and its split's outsider rows with
+    its flip bits set. Its callers check the labels against the state with _union."""
+    n, weights = state.n_qubits, []
+    for p in partitions:
+        flips, columns = _pattern_layout(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
+        weights.append(flips + _outsider_weights(p.labels, n) + columns)
+    weights, patterns = np.array(weights, dtype=np.int64), 1 << len(flips)  # one union size: one P
+    rows = (weights[:, :-4] @ _row_bits(n - 2)).reshape(len(partitions) * patterns, -1)  # flip bits lead
+    blocks = _gather_sums(state, rows, weights[:, -4:].repeat(patterns, axis=0))
+    return blocks.reshape(len(partitions), patterns, 4, 4)
 
 
-def _union_states(
-    state: StateVector | DensityMatrix, unions: list[tuple[int, ...]], rows: int
-) -> np.ndarray:
+def _union_states(state: StateVector | DensityMatrix, unions: list[tuple[int, ...]]) -> np.ndarray:
     """The (C, 2^k, 2^k) partial traces of a state onto C ascending label
-    unions of one size k, the union's bits most significant first.
-
-    Each entry adds one term per outsider row, the outsider bits counted
-    in ascending label order as _pattern_blocks counts them, so a block
-    read from it has _pattern_blocks' bits. At most `rows` outsider rows of
-    each union are gathered at once; a later gather adds the running sum
-    into its first row, so the additions keep their order.
-    """
+    unions of one size k: each union is a group of _gather_sums, its 2^k
+    offsets the columns, so a block read from it has _pattern_blocks' bits."""
     n, k = state.n_qubits, len(unions[0])
-    weights = np.array([[1 << (n - x) for x in range(1, n + 1) if x not in union]
-                        + [1 << (n - x) for x in union] for union in unions], dtype=np.int64)
-    outer = weights[:, :n - k] @ _row_bits(n - k)   # (C, 2^(n-k)) outsider offsets
-    inner = weights[:, n - k:] @ _row_bits(k)       # (C, 2^k) union offsets
-    total = None
-    for lo in range(0, outer.shape[1], rows):
-        table = outer[:, lo:lo + rows, None] | inner[:, None, :]
-        if isinstance(state, StateVector):
-            amp = state.amplitudes[table]
-            terms = amp[..., :, None] * amp.conj()[..., None, :]
-        else:
-            terms = state.entries[table[..., :, None], table[..., None, :]]
-        # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
-        terms = np.ascontiguousarray(terms)
-        if total is not None:
-            terms[:, 0] += total
-        total = terms.sum(axis=1)
-        del terms  # one block alive at a time: the next one is gathered without it
-    return total
+    outer = np.array([_outsider_weights(union, n) for union in unions], dtype=np.int64) @ _row_bits(n - k)
+    inner = np.array([[1 << (n - x) for x in union] for union in unions], dtype=np.int64) @ _row_bits(k)
+    return _gather_sums(state, outer, inner)
 
 
 @lru_cache(maxsize=4096)
@@ -203,15 +209,13 @@ def _union_positions(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...]) -> np.n
     """The (P, 4, 4) flat positions of a split's pattern blocks in its
     union's reduced state, from the bunches' places in the union; read-only."""
     k = len(ranks_a) + len(ranks_b)
-    flip_a, flip_b = (sum(1 << (k - 1 - r) for r in ranks) for ranks in (ranks_a, ranks_b))
-    free = np.array([1 << (k - 1 - r) for r in ranks_a[1:] + ranks_b[1:]], dtype=np.int64)
-    pos = (free @ _row_bits(k - 2))[:, None] ^ np.array([0, flip_b, flip_a, flip_a ^ flip_b])
+    free, columns = _pattern_layout(*([1 << (k - 1 - r) for r in ranks] for ranks in (ranks_a, ranks_b)))
+    pos = (np.array(free, dtype=np.int64) @ _row_bits(k - 2))[:, None] ^ np.array(columns)
     return _freeze((pos[:, :, None] << k) | pos[:, None, :])
 
 
-def _union_blocks(
-    reduced: np.ndarray, unions: list[tuple[int, ...]], placed: list[tuple[int, BunchPartition]]
-) -> np.ndarray:
+def _union_blocks(reduced: np.ndarray, unions: list[tuple[int, ...]],
+                  placed: list[tuple[int, BunchPartition]]) -> np.ndarray:
     """The (S, P, 4, 4) pattern blocks of S splits, each given as (c, split)
     with reduced[c] the reduced state of its union, unions[c]."""
     ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in unions]

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bunching
 from .bunching import (
     BunchPartition,
     _pattern_blocks,
@@ -41,10 +42,6 @@ _SPIN_FLIP = np.array(
     ],
     dtype=np.complex128,
 )
-
-# complex entries one gather may hold (512 KiB): survey times matched from
-# 2^14 to 2^16, and 2^16 raised a GHZ-8 full cover's peak RSS by 2.4 MB
-_GATHER_ENTRIES = 2 ** 15
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,49 +93,49 @@ def concurrence(rho) -> float:
     return eof(rho).concurrence
 
 
-def _report(
-    lambdas: np.ndarray,
-    partition: BunchPartition | None = None,
-    etas: tuple[float, ...] | None = None,
-) -> EntanglementReport:
-    lam = tuple(lambdas.tolist())
-    conc = max(0.0, min(1.0, lam[0] - lam[1] - lam[2] - lam[3]))
-    formation = binary_entropy((1.0 + math.sqrt(max(0.0, 1.0 - conc * conc))) / 2.0)
-    return EntanglementReport(conc, formation, lam, partition, etas)
+def _reports(lambdas: np.ndarray, partitions: list, etas: list) -> list[EntanglementReport]:
+    """One report per row of a (S, 4) stack of descending lambdas; C and
+    the entropy argument are taken for the whole stack at once."""
+    # l1 - l2 - l3 - l4 from the left; 0.0 second, since np.maximum(0.0, -0.0)
+    # is -0.0 and np.maximum(-0.0, 0.0) is 0.0, as max(0.0, -0.0) is
+    conc = np.maximum(np.minimum(np.subtract.reduce(lambdas, axis=1), 1.0), 0.0)
+    arg = (np.sqrt(1.0 - conc * conc) + 1.0) / 2.0  # conc <= 1, so conc^2 <= 1
+    rows = zip(conc.tolist(), arg.tolist(), lambdas.tolist(), partitions, etas)
+    # binary_entropy keeps math.log2, whose bits np.log2 need not match; at 1.0 it gives 0.0
+    return [EntanglementReport(c, binary_entropy(x) if x < 1.0 else 0.0, tuple(lam), part, eta)
+            for c, x, lam, part, eta in rows]
 
 
 def eof(rho) -> EntanglementReport:
     """Entanglement report for a two-qubit density matrix."""
-    return _report(_spin_flip_spectrum(_as_two_qubit(rho)[None])[0])
+    return _reports(_spin_flip_spectrum(_as_two_qubit(rho)[None]), [None], [None])[0]
 
 
 def _measure_splits(
     state: StateVector | DensityMatrix, partitions: list[BunchPartition]
 ) -> list[EntanglementReport]:
     """Reports for a list of splits, in order; one chain runs on the stack
-    of their rho_ab, and each gather holds at most _GATHER_ENTRIES entries.
+    of their rho_ab.
 
     Splits group by label union. A union of k qubits that two or more
-    splits share, with 4^k <= _GATHER_ENTRIES (k <= 7), is reduced once:
-    _union_states gathers chunks of such unions of one size, or one union
-    in blocks of outsider rows, and _union_blocks reads each split's blocks
-    from the result (a survey has at most 2^(k-1) - 1 splits per union, so
-    the blocks of a chunk stay within _GATHER_ENTRIES too). Every other split, a lone one included, is gathered
-    by _pattern_blocks with the splits of its union size, in chunks. Both
-    routes sum in one order, so a split's bits do not depend on its route.
+    splits share, with 4^k <= _GATHER_ENTRIES (k <= 7), is reduced once by
+    _union_states, and _union_blocks reads its splits' blocks (a union has
+    at most 2^(k-1) - 1 splits, so a chunk's blocks fit the budget too).
+    Every other split is gathered by _pattern_blocks with the splits of its
+    union size; both routes sum in one order, so give a split the same bits.
 
-    It first frees an untouched block twice the largest gather (1 MiB up to
-    13 qubits, 8 MiB at 16); that lifts glibc's mmap and trim thresholds, so
-    chunk temporaries stay in the heap, not mapped and faulted in per chunk."""
-    n = state.n_qubits
-    np.empty(32 * max(_GATHER_ENTRIES, 4 << n), dtype=np.uint8)
+    It first frees an untouched block twice the largest gather (1 MiB); that
+    lifts glibc's mmap and trim thresholds, so chunk temporaries stay in the
+    heap, not mapped and faulted in per chunk."""
+    n, budget = state.n_qubits, bunching._GATHER_ENTRIES
+    np.empty(32 * budget, dtype=np.uint8)
     unions: dict[tuple[int, ...], list[int]] = {}
     for k, partition in enumerate(partitions):
         unions.setdefault(_union(partition, n), []).append(k)
     shared: dict[int, list[tuple[int, ...]]] = {}
     alone: dict[int, list[int]] = {}
     for union, members in unions.items():
-        if len(members) > 1 and 4 ** len(union) <= _GATHER_ENTRIES:
+        if len(members) > 1 and 4 ** len(union) <= budget:
             shared.setdefault(len(union), []).append(union)
         else:
             alone.setdefault(len(union), []).extend(members)
@@ -147,24 +144,21 @@ def _measure_splits(
 
     def keep(chunk: list[int], blocks: np.ndarray) -> None:
         for k, rho_ab, row in zip(chunk, blocks.sum(axis=1), _pattern_weights(blocks).tolist()):
-            stack[k] = rho_ab
-            etas[k] = tuple(row)
+            stack[k], etas[k] = rho_ab, tuple(row)
 
-    step = max(1, _GATHER_ENTRIES >> (n + 2))  # 2^(n-2) rows of 16 per split
-    for chunk in (g[lo:lo + step] for g in alone.values() for lo in range(0, len(g), step)):
+    def chunks(items: list, width: int) -> list[list]:
+        # an item gathers `width` columns (a split 4, a union 2^k) of all 2^n basis states
+        step = max(1, budget // (width << n))
+        return [items[lo:lo + step] for lo in range(0, len(items), step)]
+
+    for chunk in (c for group in alone.values() for c in chunks(group, 4)):
         keep(chunk, _pattern_blocks(state, [partitions[k] for k in chunk]))
     for size, group in shared.items():
-        step = max(1, _GATHER_ENTRIES >> (n + size))  # 2^(n-k) rows of 4^k per union
-        for lo in range(0, len(group), step):
-            chunk = group[lo:lo + step]
-            reduced = _union_states(state, chunk, _GATHER_ENTRIES >> 2 * size)
+        for chunk in chunks(group, 1 << size):
             placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
-            keep([k for _, k in placed],
-                 _union_blocks(reduced, chunk, [(c, partitions[k]) for c, k in placed]))
-    return [
-        _report(lam, partition, eta)
-        for lam, partition, eta in zip(_spin_flip_spectrum(stack), partitions, etas)
-    ]
+            splits = [(c, partitions[k]) for c, k in placed]
+            keep([k for _, k in placed], _union_blocks(_union_states(state, chunk), chunk, splits))
+    return _reports(_spin_flip_spectrum(stack), partitions, etas)
 
 
 def eof_bunches(

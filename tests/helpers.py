@@ -3,8 +3,9 @@
 The oracles include the reduction's stage-by-stage projector route
 (logical_index, build_projector, compress_operator) and the spin flip,
 which the package computes in one gather and one stacked chain instead.
-Random builders take an explicit numpy Generator so seeds stay visible at
-the call sites.
+The gate helpers (on_qubits, relabelled) act on a state as local
+unitaries and qubit permutations do. Random builders take an explicit
+numpy Generator so seeds stay visible at the call sites.
 """
 
 from itertools import product
@@ -28,6 +29,36 @@ from bunchent import (
 from bunchent.measures import _SPIN_FLIP
 
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+Z_GATE = np.diag([1.0, -1.0]).astype(np.complex128)
+
+
+def phase_gate(phi: float) -> np.ndarray:
+    return np.diag([1.0, np.exp(1j * phi)])
+
+
+def random_gate(rng: np.random.Generator) -> np.ndarray:
+    """A Haar-random single-qubit unitary."""
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def on_qubits(rho: DensityMatrix, labels, gate: np.ndarray) -> DensityMatrix:
+    """U rho U^dagger for U the single-qubit gate on each of `labels`."""
+    op = np.ones((1, 1))
+    for x in range(1, rho.n_qubits + 1):
+        op = np.kron(op, gate if x in labels else np.eye(2))
+    return DensityMatrix(rho.n_qubits, op @ rho.entries @ op.conj().T)
+
+
+def relabelled(rho: DensityMatrix, perm: dict[int, int]) -> DensityMatrix:
+    """The state with qubit x moved to qubit perm[x], perm a bijection of 1..n."""
+    n = rho.n_qubits
+    axes = [x - 1 for x in sorted(perm, key=perm.get)]  # new axis j holds old axis axes[j]
+    moved = rho.entries.reshape((2,) * 2 * n).transpose(axes + [n + a for a in axes])
+    return DensityMatrix(n, moved.reshape(2 ** n, 2 ** n))
 
 
 def random_pure(rng: np.random.Generator, n_qubits: int) -> StateVector:
@@ -58,6 +89,18 @@ def sparse_state(
         return normalize(ghz(n_qubits).amplitudes + weight * branch.amplitudes)
     weight = float(rng.uniform(0.1, 0.9))
     return mix([(weight, densify(ghz(n_qubits))), (1.0 - weight, densify(branch))])
+
+
+def entangled_mixture(rng: np.random.Generator, n_qubits: int, subset: list[int]) -> DensityMatrix:
+    """0.85 of a two-branch state on `subset` (or of GHZ when the subset is
+    every qubit) and 0.15 of a random rank-2 state: a full cover of the
+    subset reduces to C > 0, where random states almost always give C = 0."""
+    subset = sorted(subset)
+    if len(subset) == n_qubits and rng.integers(2):
+        branch = ghz(n_qubits)
+    else:
+        branch = embedded_bell(n_qubits, subset, int(rng.integers(1, len(subset))))
+    return mix([(0.85, branch), (0.15, random_mixed(rng, n_qubits, 2))])
 
 
 def random_partition(rng: np.random.Generator, n_qubits: int) -> BunchPartition:

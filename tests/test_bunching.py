@@ -25,7 +25,7 @@ from bunchent import (
     state_defects,
     tripartite_triple,
 )
-from bunchent import measures
+from bunchent import bunching, measures
 from bunchent.bunching import _pattern_blocks, _pattern_weights
 from bunchent.bunching import _union_blocks as union_blocks
 from bunchent.measures import _measure_splits
@@ -261,7 +261,7 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
             labels = [int(x) + 1 for x in rng.permutation(n)[:size]]
         cut = int(rng.integers(1, size))
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
-    budget = (rows << 2 * size) if rows else measures._GATHER_ENTRIES
+    budget = (rows << 2 * size) if rows else bunching._GATHER_ENTRIES
     read = []
 
     def record(reduced, unions, placed):
@@ -272,7 +272,7 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
     ) as chain, mock.patch.object(measures, "_union_blocks", side_effect=record), \
-            mock.patch.object(measures, "_GATHER_ENTRIES", budget):
+            mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
         reports = _measure_splits(state, splits)
     stack = chain.call_args.args[0]
     gathered = _pattern_blocks(state, splits)

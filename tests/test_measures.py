@@ -38,9 +38,9 @@ from bunchent import (
     survey,
     survey_csv,
 )
-from bunchent import measures
+from bunchent import bunching, measures
 from bunchent.measures import _measure_splits, format_float, report_json_dict, survey_json
-from helpers import oracle_blocks, random_mixed, random_pure, random_split, spin_flip
+from helpers import oracle_blocks, random_gate, random_mixed, random_pure, random_split, spin_flip
 
 _WERNER_C = 0.25
 _WERNER_EOF = 0.11761887377091781
@@ -59,12 +59,6 @@ def _concurrence_product_route(mat: np.ndarray) -> float:
     vals = np.linalg.eigvals(mat @ spin_flip(mat))
     lam = np.sort(np.sqrt(np.clip(vals.real, 0.0, None)))[::-1]
     return max(0.0, lam[0] - lam[1] - lam[2] - lam[3])
-
-
-def _random_local_unitary(rng) -> np.ndarray:
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +160,7 @@ def test_mixed_state_product_route(rng):
 def test_local_unitary_invariance(rng):
     for _ in range(20):
         rho = random_mixed(rng, 2)
-        u = np.kron(_random_local_unitary(rng), _random_local_unitary(rng))
+        u = np.kron(random_gate(rng), random_gate(rng))
         rotated = u @ rho.entries @ u.conj().T
         assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
 
@@ -191,7 +185,7 @@ def _lambdas_eigen_route(mat: np.ndarray) -> np.ndarray:
 
 
 def _assert_report_consistent(report: EntanglementReport) -> None:
-    """What _report makes hold by construction: C in [0, 1], lambdas
+    """What _reports makes hold by construction: C in [0, 1], lambdas
     descending, and EoF equal to h((1 + sqrt(1 - C^2)) / 2) to 1e-12."""
     assert 0.0 <= report.concurrence <= 1.0
     assert list(report.lambdas) == sorted(report.lambdas, reverse=True)
@@ -268,7 +262,7 @@ def test_chunked_gather_matches_unchunked(seed, n, pure):
     assert rows == [_row(_measure_splits(state, [p])[0]) for p in parts]
     # a split gathers 2^(n+2) entries, so these chunks hold 1 to 7 splits
     for entries in (1, int(rng.integers(1, 8 << (n + 2)))):
-        with mock.patch.object(measures, "_GATHER_ENTRIES", entries):
+        with mock.patch.object(bunching, "_GATHER_ENTRIES", entries):
             assert [_row(r) for r in _measure_splits(state, parts)] == rows
 
 
@@ -286,22 +280,33 @@ def test_survey_gathers_in_bounded_chunks():
     assert peak < 16 * 2**20
 
 
+def _traced(call, *args):
+    """call(*args) and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        return call(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_union_route_bounds_its_gathers():
     # three splits share the union 1-4 of a 14-qubit state: its 1,024
-    # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time,
-    # so the peak is the 2 MiB block freed to lift glibc's thresholds
+    # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time
     psi = random_pure(np.random.default_rng(14), 14)
     parts = [BunchPartition((1, 2), (3, 4)), BunchPartition((1, 3), (2, 4)), BunchPartition((1, 4), (2, 3))]
     with mock.patch.object(measures, "_union_states", wraps=measures._union_states) as route:
-        tracemalloc.start()
-        try:
-            rows = _measure_splits(psi, parts)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = _traced(_measure_splits, psi, parts)
     assert route.call_count == 1
     assert [_row(r) for r in rows] == [_row(_measure_splits(psi, [p])[0]) for p in parts]
     assert peak < 3 * 2**20
+    # one pure 16-qubit pair split: 2^14 outsider rows of 16 entries (4 MiB)
+    # are gathered 2,048 rows at a time on the per-split route too, so the
+    # peak is about the 1 MiB block freed to lift glibc's thresholds. A first
+    # call builds the cached (14, 2^14) row-bit table (1.75 MiB), not a gather.
+    psi = random_pure(np.random.default_rng(16), 16)
+    for reduce in (eof_bunches, bunch_reduce):
+        reduce(psi, BunchPartition((3,), (11,)))
+        assert _traced(reduce, psi, BunchPartition((3,), (11,)))[1] < 2 * 2**20
 
 
 def test_union_route_choice():
