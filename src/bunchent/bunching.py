@@ -12,17 +12,28 @@ the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, so one function,
 _gather_sums, takes them: it sums the terms of each outsider row in one
-order, within one budget of gathered entries, and gathers a pure state's
-amplitudes without densifying it. _pattern_blocks hands it each pattern's
-four columns. Where splits share a label union of k <= 7 qubits,
-_union_states hands it the union's 2^k columns once, and _union_blocks
-reads every split's pattern blocks out of that partial trace, to the same
-bits. The stage-by-stage projector route is a test reference.
+order, within one budget of _GATHER_ENTRIES = 2^15 gathered entries
+(512 KiB), and gathers a pure state's amplitudes without densifying it.
+_split_blocks is the one entry for a list of splits: bunch_reduce, and
+measures' eof_bunches and survey, reduce through it, in chunks. It checks
+every split's labels first, then groups the splits by label union. Where
+two or more splits share a union of k qubits with 4^k <= 2^15 (k <= 7),
+_union_states hands _gather_sums the union's 2^k columns once, and
+_union_blocks reads every split's pattern blocks out of that partial
+trace, to the same bits (a union has at most 2^(k-1) - 1 splits, so a
+chunk's blocks fit the budget too). Every other split goes to
+_pattern_blocks, each pattern's four columns, with the splits of its
+union size. Before the first chunk, _split_blocks frees an untouched
+block twice the largest gather (1 MiB), which lifts glibc's mmap and trim
+thresholds, so chunk temporaries stay in the heap instead of being mapped
+and faulted in per chunk. The stage-by-stage projector route is a test
+reference.
 Only caller data is validated.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -40,8 +51,8 @@ class BunchPartition:
     bunch_b: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        a = tuple(int(x) for x in self.bunch_a)
-        b = tuple(int(x) for x in self.bunch_b)
+        a = tuple(map(operator.index, self.bunch_a))
+        b = tuple(map(operator.index, self.bunch_b))
         if not a or not b:
             raise ValueError("both bunches must be non-empty")
         labels = a + b
@@ -140,14 +151,6 @@ def _pattern_layout(weights_a: list[int], weights_b: list[int]) -> tuple[list[in
     return weights_a[1:] + weights_b[1:], [0, flip_b, flip_a, flip_a ^ flip_b]
 
 
-def _union(partition: BunchPartition, n: int) -> tuple[int, ...]:
-    """A split's labels in ascending order; a label beyond n qubits raises."""
-    union = tuple(sorted(partition.labels))
-    if union[-1] > n:
-        raise ValueError(f"partition labels {partition.labels} exceed the state's {n} qubits")
-    return union
-
-
 def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """The (G, K, K) sums of G groups, given as (G, R) row offsets and
     (G, K) column offsets: group g adds, over its rows r in order, the
@@ -183,7 +186,7 @@ def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPa
     """The (S, P, 4, 4) pattern blocks of S splits that share one union
     size m + n, each split's in enumerate_patterns order. Each pattern is a
     group of _gather_sums: its columns, and its split's outsider rows with
-    its flip bits set. Its callers check the labels against the state with _union."""
+    its flip bits set. Only _split_blocks calls it, with labels it has checked."""
     n, weights = state.n_qubits, []
     for p in partitions:
         flips, columns = _pattern_layout(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
@@ -233,21 +236,57 @@ def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     return np.where(etas < _ETA_FLOOR, 0.0, etas)
 
 
+def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]):
+    """The reduction of a list of splits, one chunk at a time, by the route
+    rule of the module docstring: each chunk yields (members, blocks, etas),
+    its splits' indices into `partitions`, their (S, P, 4, 4) pattern blocks
+    and _pattern_weights as lists. A chunk reads only the state and its own
+    splits, so chunks are independent. A label beyond the state's qubits
+    raises before anything is gathered."""
+    n, budget = state.n_qubits, _GATHER_ENTRIES
+    np.empty(32 * budget, dtype=np.uint8)  # the heap lift
+    unions: dict[tuple[int, ...], list[int]] = {}
+    for k, partition in enumerate(partitions):
+        union = tuple(sorted(partition.labels))
+        if union[-1] > n:
+            raise ValueError(f"partition labels {partition.labels} exceed the state's {n} qubits")
+        unions.setdefault(union, []).append(k)
+    shared: dict[int, list[tuple[int, ...]]] = {}
+    alone: dict[int, list[int]] = {}
+    for union, members in unions.items():
+        if len(members) > 1 and 4 ** len(union) <= budget:
+            shared.setdefault(len(union), []).append(union)
+        else:
+            alone.setdefault(len(union), []).extend(members)
+
+    def chunks(items: list, width: int) -> list[list]:
+        # an item gathers `width` columns (a split 4, a union 2^k) of all 2^n basis states
+        step = max(1, budget // (width << n))
+        return [items[lo:lo + step] for lo in range(0, len(items), step)]
+
+    for chunk in (c for group in alone.values() for c in chunks(group, 4)):
+        blocks = _pattern_blocks(state, [partitions[k] for k in chunk])
+        yield chunk, blocks, _pattern_weights(blocks).tolist()
+    for size, group in shared.items():
+        for chunk in chunks(group, 1 << size):
+            placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
+            splits = [(c, partitions[k]) for c, k in placed]
+            blocks = _union_blocks(_union_states(state, chunk), chunk, splits)
+            yield [k for _, k in placed], blocks, _pattern_weights(blocks).tolist()
+
+
 def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:
     """Reduce a state onto a bunch pair: partial trace, then pattern sums.
 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    _union(partition, state.n_qubits)
-    blocks = _pattern_blocks(state, [partition])[0]
+    ((_, blocks, etas),) = _split_blocks(state, [partition])  # one split: one chunk
     components = tuple(
         ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
-        for pattern, block, eta in zip(
-            enumerate_patterns(partition), blocks, _pattern_weights(blocks).tolist()
-        )
+        for pattern, block, eta in zip(enumerate_patterns(partition), blocks[0], etas[0])
     )
-    return BunchReduction(partition, _derived(2, blocks.sum(axis=0)), components)
+    return BunchReduction(partition, _derived(2, blocks[0].sum(axis=0)), components)
 
 
 def tripartite_triple(

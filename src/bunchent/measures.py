@@ -7,8 +7,8 @@ square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
 C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
 h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
 decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
-stack of states: a survey gathers same-size splits together, in bounded
-chunks, then measures the whole list of splits with one eigh and one svd.
+stack of states: a survey reduces its splits in bounded chunks through
+bunching._split_blocks, then measures them all with one eigh and one svd.
 Its CSV and JSON tables are written directly, one template per record.
 """
 
@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bunching
-from .bunching import (
-    BunchPartition,
-    _pattern_blocks,
-    _pattern_weights,
-    _union,
-    _union_blocks,
-    _union_states,
-    enumerate_partitions,
-)
+from .bunching import BunchPartition, _split_blocks, enumerate_partitions
 from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, DensityMatrix, StateVector
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
@@ -114,50 +105,14 @@ def eof(rho) -> EntanglementReport:
 def _measure_splits(
     state: StateVector | DensityMatrix, partitions: list[BunchPartition]
 ) -> list[EntanglementReport]:
-    """Reports for a list of splits, in order; one chain runs on the stack
-    of their rho_ab.
-
-    Splits group by label union. A union of k qubits that two or more
-    splits share, with 4^k <= _GATHER_ENTRIES (k <= 7), is reduced once by
-    _union_states, and _union_blocks reads its splits' blocks (a union has
-    at most 2^(k-1) - 1 splits, so a chunk's blocks fit the budget too).
-    Every other split is gathered by _pattern_blocks with the splits of its
-    union size; both routes sum in one order, so give a split the same bits.
-
-    It first frees an untouched block twice the largest gather (1 MiB); that
-    lifts glibc's mmap and trim thresholds, so chunk temporaries stay in the
-    heap, not mapped and faulted in per chunk."""
-    n, budget = state.n_qubits, bunching._GATHER_ENTRIES
-    np.empty(32 * budget, dtype=np.uint8)
-    unions: dict[tuple[int, ...], list[int]] = {}
-    for k, partition in enumerate(partitions):
-        unions.setdefault(_union(partition, n), []).append(k)
-    shared: dict[int, list[tuple[int, ...]]] = {}
-    alone: dict[int, list[int]] = {}
-    for union, members in unions.items():
-        if len(members) > 1 and 4 ** len(union) <= budget:
-            shared.setdefault(len(union), []).append(union)
-        else:
-            alone.setdefault(len(union), []).extend(members)
+    """Reports for a list of splits, in order: each chunk of
+    bunching._split_blocks fills its splits' rows of one stack of rho_ab,
+    and one chain runs on the whole stack."""
     stack = np.empty((len(partitions), 4, 4), dtype=np.complex128)
     etas: list = [None] * len(partitions)
-
-    def keep(chunk: list[int], blocks: np.ndarray) -> None:
-        for k, rho_ab, row in zip(chunk, blocks.sum(axis=1), _pattern_weights(blocks).tolist()):
+    for members, blocks, weights in _split_blocks(state, partitions):
+        for k, rho_ab, row in zip(members, blocks.sum(axis=1), weights):
             stack[k], etas[k] = rho_ab, tuple(row)
-
-    def chunks(items: list, width: int) -> list[list]:
-        # an item gathers `width` columns (a split 4, a union 2^k) of all 2^n basis states
-        step = max(1, budget // (width << n))
-        return [items[lo:lo + step] for lo in range(0, len(items), step)]
-
-    for chunk in (c for group in alone.values() for c in chunks(group, 4)):
-        keep(chunk, _pattern_blocks(state, [partitions[k] for k in chunk]))
-    for size, group in shared.items():
-        for chunk in chunks(group, 1 << size):
-            placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
-            splits = [(c, partitions[k]) for c, k in placed]
-            keep([k for _, k in placed], _union_blocks(_union_states(state, chunk), chunk, splits))
     return _reports(_spin_flip_spectrum(stack), partitions, etas)
 
 

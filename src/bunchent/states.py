@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -167,7 +168,7 @@ def normalize(amplitudes) -> StateVector:
 
 def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
     """Computational basis state |b1 b2 ... bn> with qubit 1 leftmost."""
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(map(operator.index, bits))
     if len(bits) != n_qubits:
         raise ValueError(f"got {len(bits)} bits for {n_qubits} qubits")
     _check_cap("pure", n_qubits)
@@ -210,7 +211,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
     The k-th subset member receives the k-th bit of each branch, so the
     first w members carry 0 in the first branch and 1 in the second.
     """
-    subset = tuple(int(s) for s in subset)
+    subset = tuple(map(operator.index, subset))
     n = len(subset)
     if n < 2:
         raise ValueError(f"subset needs at least 2 qubits, got {subset}")
@@ -282,7 +283,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     The kept qubits preserve their relative order and are relabeled
     1..len(keep) in the result.
     """
-    keep = tuple(int(k) for k in keep)
+    keep = tuple(map(operator.index, keep))
     if not keep:
         raise ValueError("keep list must not be empty")
     if list(keep) != sorted(set(keep)):

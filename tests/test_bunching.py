@@ -17,6 +17,7 @@ from bunchent import (
     densify,
     enumerate_partitions,
     enumerate_patterns,
+    eof_bunches,
     ghz,
     mix,
     normalize,
@@ -271,7 +272,7 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
 
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
-    ) as chain, mock.patch.object(measures, "_union_blocks", side_effect=record), \
+    ) as chain, mock.patch.object(bunching, "_union_blocks", side_effect=record), \
             mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
         reports = _measure_splits(state, splits)
     stack = chain.call_args.args[0]
@@ -311,15 +312,19 @@ def test_reversed_singletons_swap_factors(rng):
 
 def test_bunch_reduce_rejects_out_of_range(rng):
     rho = random_mixed(rng, 3)
-    with pytest.raises(ValueError):
-        bunch_reduce(rho, BunchPartition((1,), (4,)))
+    # one split raises the survey's message before anything is gathered
+    with mock.patch.object(bunching, "_gather_sums") as gather:
+        for reduce in (bunch_reduce, eof_bunches):
+            with pytest.raises(ValueError, match=r"\(1, 4\) exceed the state's 3 qubits"):
+                reduce(rho, BunchPartition((1,), (4,)))
+    assert gather.call_count == 0
     # a batch raises for its bad split, gathered apart from or with a good one
     for good in (BunchPartition((1,), (2, 3)), BunchPartition((1,), (2,))):
         with pytest.raises(ValueError, match="exceed"):
             _measure_splits(rho, [good, BunchPartition((1,), (4,))])
     # and beside two splits that share a union, before that union is reduced
     shared = [BunchPartition((1,), (2, 3)), BunchPartition((1, 2), (3,))]
-    with mock.patch.object(measures, "_union_states") as route:
+    with mock.patch.object(bunching, "_union_states") as route:
         with pytest.raises(ValueError, match=r"\(2, 4\) exceed"):
             _measure_splits(rho, [*shared, BunchPartition((2,), (4,))])
     assert route.call_count == 0

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from bunchent import (
+    BunchPartition,
     CapacityError,
     DensityMatrix,
     FileFormatError,
@@ -71,6 +72,19 @@ def test_ket_basis_rejects_bad_bits():
         ket_basis(2, [0, 2])
     with pytest.raises(ValueError):
         ket_basis(3, [0, 1])
+
+
+@pytest.mark.parametrize("build, bad, good", [
+    (lambda xs: BunchPartition(xs[:1], xs[1:]), (1.9, "2", 3.0), np.array([1, 2, 3])),
+    (lambda xs: partial_trace(densify(ghz(3)), xs), (1.5, 2), np.array([1, 2])),
+    (lambda xs: ket_basis(2, xs), (0.7, 1), np.array([0, 1])),
+    (lambda xs: embedded_bell(4, xs, 1), (1.5, 3), np.array([1, 3])),
+], ids=["BunchPartition", "partial_trace", "ket_basis", "embedded_bell"])
+def test_integer_arguments_reject_floats_and_strings(build, bad, good):
+    # int() would cut these labels and bits: 1.9 to qubit 1, 0.7 to bit 0
+    with pytest.raises(TypeError):
+        build(bad)
+    build(good)  # numpy integers still pass
 
 
 def test_normalize_scales_and_rejects():
