@@ -10,25 +10,22 @@ pattern subspace and sums the compressed blocks into a single two-qubit
 operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
-Both stages pick entries of rho by basis index, so one function,
-_gather_sums, takes them: it sums the terms of each outsider row in one
-order, within one budget of _GATHER_ENTRIES = 2^15 gathered entries
-(512 KiB), and gathers a pure state's amplitudes without densifying it.
-_split_blocks is the one entry for a list of splits: bunch_reduce, and
-measures' eof_bunches and survey, reduce through it, in chunks. It checks
-every split's labels first, then groups the splits by label union. Where
-two or more splits share a union of k qubits with 4^k <= 2^15 (k <= 7),
-_union_states hands _gather_sums the union's 2^k columns once, and
-_union_blocks reads every split's pattern blocks out of that partial
-trace, to the same bits (a union has at most 2^(k-1) - 1 splits, so a
-chunk's blocks fit the budget too). Every other split goes to
-_pattern_blocks, each pattern's four columns, with the splits of its
-union size. Before the first chunk, _split_blocks frees an untouched
-block twice the largest gather (1 MiB), which lifts glibc's mmap and trim
-thresholds, so chunk temporaries stay in the heap instead of being mapped
-and faulted in per chunk. The stage-by-stage projector route is a test
-reference.
-Only caller data is validated.
+Both stages pick entries of rho by basis index, a sum of the bit weights
+2^(n - x) of qubits x, and both routes are built from such weights.
+_split_weights gives a split's flip weights, which count its patterns,
+and its bunches' totals, which span its four columns. _group_sums turns
+row and column weights into the tables of _gather_sums, the one gather:
+it sums each group's rows in one order, within _GATHER_ENTRIES = 2^15
+entries (512 KiB), and reads a pure state's amplitudes undensified.
+_split_blocks, the one entry for a list of splits (bunch_reduce, and
+measures' eof_bunches and survey), checks every split's labels, then
+reduces the splits in chunks. Two or more splits that share a union of
+k <= 7 qubits (4^k <= 2^15) read their blocks at _union_positions from
+one partial trace of the union, its outsider rows against its members'
+columns; every other split gathers its flip and outsider rows against
+its four columns, to the same bits. A freed 1 MiB block lifts glibc's
+mmap and trim thresholds, so chunk temporaries stay in the heap. The
+projector route is a test reference; only caller data is validated.
 """
 
 from __future__ import annotations
@@ -143,12 +140,12 @@ def _outsider_weights(labels: tuple[int, ...], n: int) -> list[int]:
     return [1 << (n - x) for x in range(1, n + 1) if x not in labels]
 
 
-def _pattern_layout(weights_a: list[int], weights_b: list[int]) -> tuple[list[int], list[int]]:
-    """From each bunch's member weights, anchor first: the non-anchor flip bits'
-    weights (A, then B), counting the patterns in enumerate_patterns order, and
-    the columns; column 2i+j xors logical i into all of bunch A, j into all of B."""
-    flip_a, flip_b = sum(weights_a), sum(weights_b)
-    return weights_a[1:] + weights_b[1:], [0, flip_b, flip_a, flip_a ^ flip_b]
+def _split_weights(weights_a: list[int], weights_b: list[int]) -> list[int]:
+    """From each bunch's member weights, anchor first: the non-anchor flip
+    weights (A, then B), counting the patterns in enumerate_patterns order,
+    then [sum(A), sum(B)], whose bits span the four columns: column 2i+j
+    xors logical i into all of bunch A and j into all of B."""
+    return weights_a[1:] + weights_b[1:] + [sum(weights_a), sum(weights_b)]
 
 
 def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -182,52 +179,26 @@ def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: n
     return np.concatenate(sums) if len(sums) > 1 else total
 
 
-def _pattern_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]) -> np.ndarray:
-    """The (S, P, 4, 4) pattern blocks of S splits that share one union
-    size m + n, each split's in enumerate_patterns order. Each pattern is a
-    group of _gather_sums: its columns, and its split's outsider rows with
-    its flip bits set. Only _split_blocks calls it, with labels it has checked."""
-    n, weights = state.n_qubits, []
-    for p in partitions:
-        flips, columns = _pattern_layout(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
-        weights.append(flips + _outsider_weights(p.labels, n) + columns)
-    weights, patterns = np.array(weights, dtype=np.int64), 1 << len(flips)  # one union size: one P
-    rows = (weights[:, :-4] @ _row_bits(n - 2)).reshape(len(partitions) * patterns, -1)  # flip bits lead
-    blocks = _gather_sums(state, rows, weights[:, -4:].repeat(patterns, axis=0))
-    return blocks.reshape(len(partitions), patterns, 4, 4)
-
-
-def _union_states(state: StateVector | DensityMatrix, unions: list[tuple[int, ...]]) -> np.ndarray:
-    """The (C, 2^k, 2^k) partial traces of a state onto C ascending label
-    unions of one size k: each union is a group of _gather_sums, its 2^k
-    offsets the columns, so a block read from it has _pattern_blocks' bits."""
-    n, k = state.n_qubits, len(unions[0])
-    outer = np.array([_outsider_weights(union, n) for union in unions], dtype=np.int64) @ _row_bits(n - k)
-    inner = np.array([[1 << (n - x) for x in union] for union in unions], dtype=np.int64) @ _row_bits(k)
+def _group_sums(state: StateVector | DensityMatrix, rows: list, columns: list, groups: int) -> np.ndarray:
+    """The (items * 2^groups, K, K) sums of items given by bit weights: the
+    bits of an item's row weights span its row offsets, and each setting of
+    the first `groups` of them is one group of _gather_sums; the bits of its
+    column weights span the K column offsets of every group of the item."""
+    rows, columns = np.array(rows, dtype=np.int64), np.array(columns, dtype=np.int64)
+    outer = (rows @ _row_bits(rows.shape[1])).reshape(len(rows) << groups, -1)
+    inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)
     return _gather_sums(state, outer, inner)
 
 
 @lru_cache(maxsize=4096)
 def _union_positions(ranks_a: tuple[int, ...], ranks_b: tuple[int, ...]) -> np.ndarray:
     """The (P, 4, 4) flat positions of a split's pattern blocks in its
-    union's reduced state, from the bunches' places in the union; read-only."""
+    union's reduced state, from the bunches' places in the union; read-only.
+    A pattern's offset is xored into the columns', which hold its flip bits."""
     k = len(ranks_a) + len(ranks_b)
-    free, columns = _pattern_layout(*([1 << (k - 1 - r) for r in ranks] for ranks in (ranks_a, ranks_b)))
-    pos = (np.array(free, dtype=np.int64) @ _row_bits(k - 2))[:, None] ^ np.array(columns)
+    weights = np.array(_split_weights(*([1 << (k - 1 - r) for r in ranks] for ranks in (ranks_a, ranks_b))))
+    pos = (weights[:-2] @ _row_bits(k - 2))[:, None] ^ (weights[-2:] @ _row_bits(2))
     return _freeze((pos[:, :, None] << k) | pos[:, None, :])
-
-
-def _union_blocks(reduced: np.ndarray, unions: list[tuple[int, ...]],
-                  placed: list[tuple[int, BunchPartition]]) -> np.ndarray:
-    """The (S, P, 4, 4) pattern blocks of S splits, each given as (c, split)
-    with reduced[c] the reduced state of its union, unions[c]."""
-    ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in unions]
-    index = np.array([
-        _union_positions(tuple(map(ranks[c], p.bunch_a)), tuple(map(ranks[c], p.bunch_b)))
-        for c, p in placed
-    ])
-    index += np.array([c for c, _ in placed])[:, None, None, None] * reduced[0].size
-    return reduced.reshape(-1)[index]
 
 
 def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
@@ -265,13 +236,23 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
         return [items[lo:lo + step] for lo in range(0, len(items), step)]
 
     for chunk in (c for group in alone.values() for c in chunks(group, 4)):
-        blocks = _pattern_blocks(state, [partitions[k] for k in chunk])
+        rows, columns = [], []
+        for p in (partitions[k] for k in chunk):  # one union size: one pattern count
+            *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
+            rows.append(flips + _outsider_weights(p.labels, n))
+            columns.append([fa, fb])
+        blocks = _group_sums(state, rows, columns, len(flips)).reshape(len(chunk), 1 << len(flips), 4, 4)
         yield chunk, blocks, _pattern_weights(blocks).tolist()
     for size, group in shared.items():
         for chunk in chunks(group, 1 << size):
             placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
-            splits = [(c, partitions[k]) for c, k in placed]
-            blocks = _union_blocks(_union_states(state, chunk), chunk, splits)
+            ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in chunk]
+            index = np.array([_union_positions(tuple(map(ranks[c], partitions[k].bunch_a)),
+                                               tuple(map(ranks[c], partitions[k].bunch_b))) for c, k in placed])
+            index += np.array([c for c, _ in placed])[:, None, None, None] << 2 * size
+            # the reduced states live only in this line, so the next gather reuses their heap
+            blocks = _group_sums(state, [_outsider_weights(union, n) for union in chunk],
+                                 [[1 << (n - x) for x in union] for union in chunk], 0).reshape(-1)[index]
             yield [k for _, k in placed], blocks, _pattern_weights(blocks).tolist()
 
 
@@ -326,10 +307,10 @@ def enumerate_partitions(
     """
     if n_qubits < 2:
         raise ValueError(f"need at least 2 qubits to split, got {n_qubits}")
-    if max_bunch is not None and max_bunch < 1:
+    cap = n_qubits if max_bunch is None else operator.index(max_bunch)
+    if cap < 1:
         raise ValueError(f"max_bunch must be positive, got {max_bunch}")
     labels = tuple(range(1, n_qubits + 1))
-    cap = n_qubits if max_bunch is None else max_bunch
     found = []
     for a in _subsets(labels, cap):
         # bunch B draws from the labels above A's anchor that A leaves

@@ -211,7 +211,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
     The k-th subset member receives the k-th bit of each branch, so the
     first w members carry 0 in the first branch and 1 in the second.
     """
-    subset = tuple(map(operator.index, subset))
+    subset, w = tuple(map(operator.index, subset)), operator.index(w)
     n = len(subset)
     if n < 2:
         raise ValueError(f"subset needs at least 2 qubits, got {subset}")
@@ -267,7 +267,7 @@ def entanglement_molecule(
     terms = []
     seen: set[tuple[int, ...]] = set()
     for subset, weight in weights.items():
-        key = tuple(int(s) for s in subset)
+        key = tuple(map(operator.index, subset))
         if len(key) != n:
             raise ValueError(f"subset {key} does not have {n} elements")
         if key in seen:

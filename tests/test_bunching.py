@@ -27,8 +27,7 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import bunching, measures
-from bunchent.bunching import _pattern_blocks, _pattern_weights
-from bunchent.bunching import _union_blocks as union_blocks
+from bunchent.bunching import _pattern_weights, _split_blocks
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
@@ -220,7 +219,9 @@ def test_derived_states_meet_contract(seed, n, rank):
             assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
 
     # a pure state gathers amplitudes, never densified, to the same bits
-    assert _pattern_blocks(psi, [part]).tobytes() == _pattern_blocks(pure, [part]).tobytes()
+    ((_, from_amplitudes, _),) = _split_blocks(psi, [part])
+    ((_, from_entries, _),) = _split_blocks(pure, [part])
+    assert from_amplitudes.tobytes() == from_entries.tobytes()
     from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
     assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
     assert from_psi.etas == from_rho.etas
@@ -242,11 +243,12 @@ def test_derived_states_meet_contract(seed, n, rank):
 @example(seed=0, n=7, outsiders=3, pure=False, count=3, shared=True, zeros=False, rows=3)  # 8 rows in gathers of 3
 @example(seed=1, n=6, outsiders=2, pure=True, count=4, shared=True, zeros=True, rows=1)  # zeros, a row per gather
 def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, shared, zeros, rows):
-    # printed numbers depend on the order of every sum, so the gathered
-    # blocks, bunch_reduce's rho_ab and the survey's stacked rho_ab and
-    # etas must equal a one-term-at-a-time loop to the bit; -0.0 against
-    # 0.0 counts. Splits of one union take the union route, and `rows`
-    # shrinks its gathers so that a union's rows span several of them.
+    # printed numbers depend on the order of every sum, so each split's
+    # blocks (from the batch and reduced alone), bunch_reduce's rho_ab and
+    # the survey's stacked rho_ab and etas must equal a one-term-at-a-time
+    # loop to the bit; -0.0 against 0.0 counts. In the batch, splits of one
+    # union take the union route, and `rows` shrinks its gathers so that a
+    # union's rows span several of them.
     rng = np.random.default_rng(seed)
     if zeros:
         state = sparse_state(rng, n, pure)
@@ -263,22 +265,22 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         cut = int(rng.integers(1, size))
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
     budget = (rows << 2 * size) if rows else bunching._GATHER_ENTRIES
-    read = []
-
-    def record(reduced, unions, placed):
-        blocks = union_blocks(reduced, unions, placed)
-        read.extend(zip((part for _, part in placed), blocks))
-        return blocks
-
+    sharing = Counter(frozenset(p.labels) for p in splits)
+    union_route = sum(c for c in sharing.values() if c > 1) if 4 ** size <= budget else 0
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
-    ) as chain, mock.patch.object(bunching, "_union_blocks", side_effect=record), \
-            mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
+    ) as chain, mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
         reports = _measure_splits(state, splits)
+        batch = [None] * len(splits)
+        with mock.patch.object(bunching, "_union_positions", wraps=bunching._union_positions) as read:
+            for members, blocks, _ in _split_blocks(state, splits):
+                for k, split_blocks in zip(members, blocks):
+                    batch[k] = split_blocks
+            assert read.call_count == union_route  # a split read from its union's partial trace
+            read.reset_mock()
+            alone = [next(_split_blocks(state, [part]))[1][0] for part in splits]
+            assert read.call_count == 0  # a split alone gathers its own patterns
     stack = chain.call_args.args[0]
-    gathered = _pattern_blocks(state, splits)
-    sharing = Counter(frozenset(p.labels) for p in splits)
-    assert len(read) == (sum(c for c in sharing.values() if c > 1) if 4 ** size <= budget else 0)
 
     def bits(x):
         return np.ascontiguousarray(x).view(np.int64)
@@ -286,12 +288,11 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
     reference = {part: ordered_reduction(state, part) for part in splits}
     for k, part in enumerate(splits):
         blocks, rho_ab = reference[part]
-        assert np.array_equal(bits(gathered[k]), bits(blocks))
+        assert np.array_equal(bits(batch[k]), bits(blocks))
+        assert np.array_equal(bits(alone[k]), bits(blocks))
         assert np.array_equal(bits(bunch_reduce(state, part).rho_ab.entries), bits(rho_ab))
         assert np.array_equal(bits(stack[k]), bits(rho_ab))
         assert np.array_equal(bits(np.array(reports[k].etas)), bits(_pattern_weights(blocks)))
-    for part, blocks in read:
-        assert np.array_equal(bits(blocks), bits(reference[part][0]))
 
 
 def test_singleton_pair_equals_partial_trace(rng):
@@ -324,10 +325,10 @@ def test_bunch_reduce_rejects_out_of_range(rng):
             _measure_splits(rho, [good, BunchPartition((1,), (4,))])
     # and beside two splits that share a union, before that union is reduced
     shared = [BunchPartition((1,), (2, 3)), BunchPartition((1, 2), (3,))]
-    with mock.patch.object(bunching, "_union_states") as route:
+    with mock.patch.object(bunching, "_gather_sums") as gather:
         with pytest.raises(ValueError, match=r"\(2, 4\) exceed"):
             _measure_splits(rho, [*shared, BunchPartition((2,), (4,))])
-    assert route.call_count == 0
+    assert gather.call_count == 0
 
 
 def test_tripartite_triple_matches_index_oracle(rng):

@@ -294,9 +294,9 @@ def test_union_route_bounds_its_gathers():
     # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time
     psi = random_pure(np.random.default_rng(14), 14)
     parts = [BunchPartition((1, 2), (3, 4)), BunchPartition((1, 3), (2, 4)), BunchPartition((1, 4), (2, 3))]
-    with mock.patch.object(bunching, "_union_states", wraps=bunching._union_states) as route:
+    with mock.patch.object(bunching, "_gather_sums", wraps=bunching._gather_sums) as gather:
         rows, peak = _traced(_measure_splits, psi, parts)
-    assert route.call_count == 1
+    assert gather.call_count == 1 and gather.call_args.args[2].shape == (1, 16)  # the union's 16 columns
     assert [_row(r) for r in rows] == [_row(_measure_splits(psi, [p])[0]) for p in parts]
     assert peak < 3 * 2**20
     # one pure 16-qubit pair split: 2^14 outsider rows of 16 entries (4 MiB)
@@ -314,7 +314,7 @@ def test_union_route_choice():
     # at most 7 qubits: never for one split, nor for an 8-qubit full cover
     rng = np.random.default_rng(6)
     psi, part = random_pure(rng, 6), BunchPartition((1, 3), (2, 5))
-    with mock.patch.object(bunching, "_union_states", wraps=bunching._union_states) as route:
+    with mock.patch.object(bunching, "_union_positions", wraps=bunching._union_positions) as route:
         eof_bunches(psi, part)
         eof_bunches(densify(psi), part)
         bunch_reduce(psi, part)

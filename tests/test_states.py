@@ -23,6 +23,7 @@ from bunchent import (
     densify,
     embedded_bell,
     entanglement_molecule,
+    enumerate_partitions,
     ghz,
     ket_basis,
     load_state,
@@ -79,9 +80,14 @@ def test_ket_basis_rejects_bad_bits():
     (lambda xs: partial_trace(densify(ghz(3)), xs), (1.5, 2), np.array([1, 2])),
     (lambda xs: ket_basis(2, xs), (0.7, 1), np.array([0, 1])),
     (lambda xs: embedded_bell(4, xs, 1), (1.5, 3), np.array([1, 3])),
-], ids=["BunchPartition", "partial_trace", "ket_basis", "embedded_bell"])
+    (lambda cap: enumerate_partitions(4, cap), 1.5, np.int64(2)),
+    (lambda w: bell_w_state(4, w), 1.5, np.int64(2)),
+    (lambda key: entanglement_molecule(3, 2, 1, {key: 1.0}), (1.5, 2), tuple(np.arange(1, 3))),
+], ids=["BunchPartition", "partial_trace", "ket_basis", "embedded_bell",
+        "enumerate_partitions", "bell_w_state", "entanglement_molecule"])
 def test_integer_arguments_reject_floats_and_strings(build, bad, good):
-    # int() would cut these labels and bits: 1.9 to qubit 1, 0.7 to bit 0
+    # int() would cut these labels, bits and counts: 1.9 to qubit 1, 0.7 to
+    # bit 0, a bunch cap or a branch width of 1.5 to 1
     with pytest.raises(TypeError):
         build(bad)
     build(good)  # numpy integers still pass
@@ -309,8 +315,11 @@ def test_molecule_validation():
     with pytest.raises(ValueError):
         entanglement_molecule(4, 3, 1, {(1, 2, 3): float("nan"), (2, 3, 4): 1.0})
     # two keys that normalize to the same subset
-    with pytest.raises(ValueError):
-        entanglement_molecule(4, 3, 1, {(1, 2, 3): 0.5, ("1", "2", "3"): 0.5})
+    with pytest.raises(ValueError, match="duplicate"):
+        entanglement_molecule(4, 3, 1, {(1, 2, 3): 0.5, range(1, 4): 0.5})
+    # labels are integers: a string key is refused, not parsed
+    with pytest.raises(TypeError):
+        entanglement_molecule(4, 3, 1, {("1", "2", "3"): 1.0})
 
 
 def test_molecule_holds_one_dense_term():
