@@ -25,7 +25,7 @@ one partial trace of the union, its outsider rows against its members'
 columns; every other split gathers its flip and outsider rows against
 its four columns, to the same bits. A freed 1 MiB block lifts glibc's
 mmap and trim thresholds, so chunk temporaries stay in the heap. The
-projector route is a test reference; only caller data is validated.
+projector route is a test reference; data is checked where it enters.
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import comb
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, StateVector, _derived, _freeze
+from .states import _ETA_FLOOR, DensityMatrix, StateVector, _freeze, _trusted
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,6 @@ class BunchPartition:
     @property
     def labels(self) -> tuple[int, ...]:
         return self.bunch_a + self.bunch_b
-
-
-def _split(bunch_a: tuple[int, ...], bunch_b: tuple[int, ...]) -> BunchPartition:
-    """A partition of labels already checked, without __post_init__: only
-    enumerate_partitions uses it."""
-    partition = object.__new__(BunchPartition)
-    object.__setattr__(partition, "bunch_a", bunch_a)
-    object.__setattr__(partition, "bunch_b", bunch_b)
-    return partition
 
 
 @dataclass(frozen=True)
@@ -262,12 +254,12 @@ def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    ((_, blocks, etas),) = _split_blocks(state, [partition])  # one split: one chunk
+    ((_, (blocks,), (etas,)),) = _split_blocks(state, [partition])  # one split: one chunk
     components = tuple(
-        ReductionComponent(pattern, eta, _derived(2, block / eta) if eta else None)
-        for pattern, block, eta in zip(enumerate_patterns(partition), blocks[0], etas[0])
+        ReductionComponent(p, eta, _trusted(DensityMatrix, n_qubits=2, entries=block / eta) if eta else None)
+        for p, block, eta in zip(enumerate_patterns(partition), blocks, etas)
     )
-    return BunchReduction(partition, _derived(2, blocks[0].sum(axis=0)), components)
+    return BunchReduction(partition, _trusted(DensityMatrix, n_qubits=2, entries=blocks.sum(axis=0)), components)
 
 
 def tripartite_triple(
@@ -316,10 +308,17 @@ def enumerate_partitions(
         # bunch B draws from the labels above A's anchor that A leaves
         rest = tuple(x for x in labels if x > a[0] and x not in a)
         if not full_cover:
-            found.extend(_split(a, b) for b in _subsets(rest, cap))
+            found.extend(_trusted(BunchPartition, bunch_a=a, bunch_b=b) for b in _subsets(rest, cap))
         elif a[0] == 1 and 0 < len(rest) <= cap:
-            found.append(_split(a, rest))
+            found.append(_trusted(BunchPartition, bunch_a=a, bunch_b=rest))
     return found
+
+
+def _pattern_count(n_qubits: int, max_bunch: int | None, full_cover: bool) -> int:
+    """The sum of 2^(m + n - 2) over enumerate_partitions(...), from ordered bunch pairs (each split twice)."""
+    n, cap = n_qubits, n_qubits if max_bunch is None else operator.index(max_bunch)
+    return sum(comb(n, a) * comb(n - a, b) << (a + b) for a in range(1, min(cap, n - 1) + 1)
+               for b in range(1, min(cap, n - a) + 1) if not full_cover or a + b == n) >> 3
 
 
 def reduction_report(reduction: BunchReduction) -> dict:

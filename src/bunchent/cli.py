@@ -57,10 +57,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     elif args.kind == "embedded":
         state = embedded_bell(args.m, _parse_labels(args.subset, "--subset"), args.w)
     elif args.kind == "basis":
-        bits = [int(c) for c in args.bits if c in "01"]
-        if len(bits) != len(args.bits):
+        if not args.bits or args.bits.strip("01"):
             raise ValueError(f"--bits expects a 0/1 string, got {args.bits!r}")
-        state = ket_basis(len(bits), bits)
+        state = ket_basis(len(args.bits), [int(c) for c in args.bits])
     elif args.kind == "molecule":
         if args.uniform:
             subsets = list(combinations(range(1, args.m + 1), args.n))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bunching import BunchPartition, _split_blocks, enumerate_partitions
-from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, DensityMatrix, StateVector
+from .bunching import BunchPartition, _pattern_count, _split_blocks, enumerate_partitions
+from .errors import CapacityError
+from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -126,7 +127,10 @@ def eof_bunches(
 def survey(
     state: StateVector | DensityMatrix, max_bunch: int | None = None, full_cover: bool = False
 ) -> list[EntanglementReport]:
-    """Measure every bunch pair of a state, in enumeration order."""
+    """Measure every bunch pair of a state, in enumeration order, within MAX_SURVEY_PATTERNS."""
+    if (count := _pattern_count(state.n_qubits, max_bunch, full_cover)) > MAX_SURVEY_PATTERNS:
+        raise CapacityError(f"a survey of {count} pattern weights exceeds the cap of {MAX_SURVEY_PATTERNS}; "
+                            "lower --max-bunch")
     return _measure_splits(state, enumerate_partitions(state.n_qubits, max_bunch, full_cover))
 
 

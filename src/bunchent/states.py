@@ -24,6 +24,7 @@ from .errors import CapacityError, FileFormatError, InvariantError
 
 MAX_MIXED_QUBITS = 10
 MAX_PURE_QUBITS = 16
+MAX_SURVEY_PATTERNS = 2 ** 24  # pattern weights a survey keeps, about 100 B each: 1.7 GB
 CAPACITY_ENV = "BUNCHENT_MAX_QUBITS"
 
 # every tolerance and floor of the package
@@ -69,7 +70,7 @@ def _check_cap(kind: str, n_qubits: int) -> None:
 
 def state_defects(kind: str, array) -> list[tuple[str, float, bool, str]]:
     """The state contract as ordered (name, defect, holds, message) rows: the
-    rows `bunchent check` prints and every constructor enforces.
+    rows `bunchent check` prints and the constructors and load_state enforce.
 
     A pure vector has one, its squared-norm defect. A mixed matrix has three:
     max |m - m^dagger|, |trace - 1| and the lowest eigenvalue of the Hermitian
@@ -90,9 +91,11 @@ def state_defects(kind: str, array) -> list[tuple[str, float, bool, str]]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise InvariantError("matrix holds a NaN or infinite entry")
-    herm = float(np.abs(m - m.conj().T).max())
+    h = m.conj().T  # the one conjugate copy; it becomes the Hermitian part in place
+    herm = float(np.abs(m - h).max())
     trace = float(abs(m.trace() - 1.0))
-    low = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    h += m
+    low = float(np.linalg.eigvalsh(np.multiply(h, 0.5, out=h))[0])
     return [
         ("hermiticity_defect", herm, herm <= _HERMITIAN_TOL, f"not Hermitian: max asymmetry {herm:.3e}"),
         ("trace_defect", trace, trace <= _TRACE_TOL, f"trace deviates from 1 by {trace:.3e}"),
@@ -146,13 +149,13 @@ class DensityMatrix:
         object.__setattr__(self, "entries", _freeze(mat))
 
 
-def _derived(n_qubits: int, entries: np.ndarray) -> DensityMatrix:
-    """Freeze a matrix derived from validated states, without re-checking
-    the contract: only densify, mix, partial_trace and bunch_reduce use it."""
-    rho = object.__new__(DensityMatrix)
-    object.__setattr__(rho, "n_qubits", n_qubits)
-    object.__setattr__(rho, "entries", _freeze(entries))
-    return rho
+def _trusted(cls, **fields):
+    """A StateVector, DensityMatrix or BunchPartition from fields checked where their data
+    entered, or derived from checked objects: no __post_init__, arrays frozen in place."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():  # vars(obj).update would build a __dict__, 150 B more each
+        object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return obj
 
 
 def normalize(amplitudes) -> StateVector:
@@ -176,13 +179,14 @@ def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
         raise ValueError(f"bits must be 0 or 1, got {bits}")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[sum(b << (n_qubits - k) for k, b in enumerate(bits, 1))] = 1.0
-    return StateVector(n_qubits, amps)
+    return _trusted(StateVector, n_qubits=n_qubits, amplitudes=amps)
 
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the qubits of `a` become the most significant labels."""
-    _check_cap("pure", a.n_qubits + b.n_qubits)
-    return StateVector(a.n_qubits + b.n_qubits, np.kron(a.amplitudes, b.amplitudes))
+    n = a.n_qubits + b.n_qubits
+    _check_cap("pure", n)
+    return _trusted(StateVector, n_qubits=n, amplitudes=np.kron(a.amplitudes, b.amplitudes))
 
 
 def ghz(n_qubits: int) -> StateVector:
@@ -192,7 +196,7 @@ def ghz(n_qubits: int) -> StateVector:
     _check_cap("pure", n_qubits)
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return StateVector(n_qubits, amps)
+    return _trusted(StateVector, n_qubits=n_qubits, amplitudes=amps)
 
 
 def bell_w_state(n_qubits: int, w: int) -> StateVector:
@@ -226,14 +230,14 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
     for flip in (0, 1):
         index = sum(((k >= w) ^ flip) << (m_total - lab) for k, lab in enumerate(subset))
         amps[index] = 1.0 / math.sqrt(2.0)
-    return StateVector(m_total, amps)
+    return _trusted(StateVector, n_qubits=m_total, amplitudes=amps)
 
 
 def densify(psi: StateVector) -> DensityMatrix:
     """Rank-one density matrix |psi><psi|."""
     _check_cap("mixed", psi.n_qubits)
     amps = psi.amplitudes
-    return _derived(psi.n_qubits, np.outer(amps, amps.conj()))
+    return _trusted(DensityMatrix, n_qubits=psi.n_qubits, entries=np.outer(amps, amps.conj()))
 
 
 def mix(terms: Sequence[tuple[float, StateVector | DensityMatrix]]) -> DensityMatrix:
@@ -250,7 +254,7 @@ def mix(terms: Sequence[tuple[float, StateVector | DensityMatrix]]) -> DensityMa
     if any(state.n_qubits != n for _, state in terms):
         raise ValueError("all mixture terms must share the same qubit count")
     dense = (densify(s) if isinstance(s, StateVector) else s for _, s in terms)
-    return _derived(n, sum(w * rho.entries for w, rho in zip(weights, dense)))
+    return _trusted(DensityMatrix, n_qubits=n, entries=sum(w * rho.entries for w, rho in zip(weights, dense)))
 
 
 def entanglement_molecule(
@@ -298,7 +302,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     out = kept + [n + q for q in kept]
     reduced = np.einsum(tens, subs, out)
     d = 2 ** len(keep)
-    return _derived(len(keep), reduced.reshape(d, d))
+    return _trusted(DensityMatrix, n_qubits=len(keep), entries=reduced.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +379,8 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
 
 
 def load_state(path) -> StateVector | DensityMatrix:
-    """Load and validate a state file written by :func:`save_state`."""
+    """Load a state file written by :func:`save_state`, checking its contract once."""
     kind, n_qubits, array = read_state_file(path)
-    if kind == "pure":
-        return StateVector(n_qubits, array)
-    return DensityMatrix(n_qubits, array)
+    _enforce(kind, array)
+    cls, field = (StateVector, "amplitudes") if kind == "pure" else (DensityMatrix, "entries")
+    return _trusted(cls, n_qubits=n_qubits, **{field: array})

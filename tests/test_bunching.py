@@ -27,7 +27,7 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import bunching, measures
-from bunchent.bunching import _pattern_weights, _split_blocks
+from bunchent.bunching import _pattern_count, _pattern_weights, _split_blocks
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
@@ -392,13 +392,27 @@ def test_enumerate_partitions_counts_and_order():
                 )
                 got = enumerate_partitions(n, max_bunch, full_cover)
                 assert [(p.bunch_a, p.bunch_b) for p in got] == want
-                # built without __post_init__, equal to checked partitions
+                # built without __post_init__, equal to checked partitions, hashed alike
                 assert got == [BunchPartition(a, b) for a, b in want]
+                assert [hash(p) for p in got] == [hash(BunchPartition(a, b)) for a, b in want]
 
     with pytest.raises(ValueError):
         enumerate_partitions(1)
     with pytest.raises(ValueError):
         enumerate_partitions(3, max_bunch=0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_pattern_count_matches_enumeration(n):
+    # the closed form a survey meets its pattern cap with, before it enumerates
+    for max_bunch in (None, *range(-1, n + 2)):
+        for full_cover in (False, True):
+            count = _pattern_count(n, max_bunch, full_cover)
+            if n < 2 or (max_bunch is not None and max_bunch < 1):
+                assert count == 0  # enumerate_partitions raises its own error
+                continue
+            splits = enumerate_partitions(n, max_bunch, full_cover)
+            assert count == sum(1 << (p.m + p.n - 2) for p in splits)
 
 
 def test_reduction_report_shape():

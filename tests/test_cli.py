@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bunchent import densify, ghz, load_state, save_state
+from bunchent import measures
 from bunchent.cli import main
 from helpers import random_mixed, random_pure
 
@@ -41,6 +43,12 @@ def test_build_basis_stdout(capsys):
     assert payload["kind"] == "pure"
     assert payload["n_qubits"] == 3
     assert payload["amplitudes"][5] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("bits", ["", "01x", "1 0"])
+def test_build_basis_rejects_bad_bits(bits, capsys):
+    assert main(["build", "basis", "--bits", bits]) == 2
+    assert capsys.readouterr().err == f"error: --bits expects a 0/1 string, got {bits!r}\n"
 
 
 def test_build_bellw_and_embedded(tmp_path):
@@ -253,9 +261,17 @@ def test_pure_file_above_mixed_cap(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["bunch_b"] == [3]
 
 
-def test_exit_code_capacity(capsys):
+def test_exit_code_capacity(tmp_path, capsys):
     assert main(["build", "ghz", "--n", "40"]) == 3
     assert "exceeds the dense cap" in capsys.readouterr().err
+    # every split of GHZ-16 would keep about 1.9e10 pattern weights; should the
+    # cap not hold, the survey stops at enumeration instead of running out of memory
+    path = tmp_path / "ghz16.json"
+    assert main(["build", "ghz", "--n", "16", "--out", str(path)]) == 0
+    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")):
+        assert main(["survey", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "error: a survey of 19062724648 pattern weights exceeds the cap of 16777216; lower --max-bunch\n")
 
 
 def test_check_pure_file_capacity(ghz3, tmp_path, monkeypatch, capsys):

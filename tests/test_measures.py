@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
+    CapacityError,
     DensityMatrix,
     EntanglementReport,
     InvariantError,
@@ -39,7 +40,9 @@ from bunchent import (
     survey_csv,
 )
 from bunchent import bunching, measures
+from bunchent.bunching import _pattern_count
 from bunchent.measures import _measure_splits, format_float, report_json_dict, survey_json
+from bunchent.states import MAX_SURVEY_PATTERNS
 from helpers import oracle_blocks, random_gate, random_mixed, random_pure, random_split, spin_flip
 
 _WERNER_C = 0.25
@@ -323,6 +326,20 @@ def test_union_route_choice():
         assert route.call_count == 0
         survey(psi, max_bunch=2)
         assert route.call_count > 0
+
+
+def test_survey_refuses_patterns_above_the_cap_before_enumerating():
+    # a pure 16-qubit survey of every split would keep about 1.9e10 pattern
+    # weights; it is refused before a single split is listed
+    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")) as listed:
+        with pytest.raises(CapacityError, match="19062724648 pattern weights exceeds the cap of 16777216"):
+            survey(ghz(16))
+    listed.assert_not_called()
+    # the cap admits mixed-10 and pure-11 surveys of every split, not pure-12
+    assert _pattern_count(10, None, False) < _pattern_count(11, None, False) <= MAX_SURVEY_PATTERNS
+    assert _pattern_count(12, None, False) > MAX_SURVEY_PATTERNS
+    with pytest.raises(ValueError, match="max_bunch must be positive"):
+        survey(ghz(3), max_bunch=0)
 
 
 _FAULTS_SCRIPT = """

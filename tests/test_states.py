@@ -7,6 +7,7 @@ The index convention under test: qubit 1 is the most significant bit, so
 import json
 import tracemalloc
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bunchent import (
     state_defects,
     tensor,
 )
+from bunchent import states
 from bunchent.states import read_state_file
 from helpers import random_mixed, random_pure
 
@@ -214,6 +216,28 @@ def test_bool_qubit_count_rejected(build):
     # bool is an int subclass, so True would otherwise pass as one qubit
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ket_basis(3, [1, 0, 1]),
+        lambda: ghz(4),
+        lambda: embedded_bell(5, (2, 4), 1),
+        lambda: bell_w_state(4, 2),
+        lambda: tensor(ghz(2), ket_basis(1, [1])),
+    ],
+    ids=["ket_basis", "ghz", "embedded_bell", "bell_w_state", "tensor"],
+)
+def test_builders_skip_the_contract(build, monkeypatch):
+    # their states are exact by construction: the arguments are checked, the contract is not
+    def refuse(*args, **kwargs):
+        raise AssertionError("state contract run on a built state")
+
+    monkeypatch.setattr(states, "state_defects", refuse)
+    psi = build()
+    assert not psi.amplitudes.flags.writeable
+    assert np.vdot(psi.amplitudes, psi.amplitudes).real == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.filterwarnings("error")
@@ -434,6 +458,26 @@ def test_state_file_round_trip_mixed(tmp_path, rng):
     back = load_state(path)
     assert isinstance(back, DensityMatrix)
     assert np.allclose(back.entries, rho.entries)
+
+
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_load_state_checks_the_read_array_once(kind, tmp_path, rng):
+    # the contract runs once, on the very array read_state_file built, which the state keeps frozen
+    path = tmp_path / "state.json"
+    save_state(random_pure(rng, 3) if kind == "pure" else random_mixed(rng, 3), path)
+    read = []
+
+    def reader(file):
+        read.append(read_state_file(file))
+        return read[-1]
+
+    with mock.patch.object(states, "read_state_file", side_effect=reader), \
+            mock.patch.object(states, "state_defects", wraps=states.state_defects) as contract:
+        loaded = load_state(path)
+    ((_, _, array),) = read
+    assert contract.call_count == 1
+    assert (loaded.amplitudes if kind == "pure" else loaded.entries) is array
+    assert not array.flags.writeable
 
 
 def test_load_state_enforces_invariants(tmp_path):
