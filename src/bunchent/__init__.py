@@ -15,6 +15,7 @@ from .bunching import (
     bunch_reduce,
     enumerate_partitions,
     enumerate_patterns,
+    partial_trace,
     reduction_report,
     tripartite_triple,
 )
@@ -41,7 +42,6 @@ from .states import (
     load_state,
     mix,
     normalize,
-    partial_trace,
     save_state,
     state_defects,
     tensor,

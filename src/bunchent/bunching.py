@@ -11,21 +11,20 @@ operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, a sum of the bit weights
-2^(n - x) of qubits x, and both routes are built from such weights.
-_split_weights gives a split's flip weights, which count its patterns,
-and its bunches' totals, which span its four columns. _group_sums turns
-row and column weights into the tables of _gather_sums, the one gather:
-it sums each group's rows in one order, within _GATHER_ENTRIES = 2^15
-entries (512 KiB), and reads a pure state's amplitudes undensified.
-_split_blocks, the one entry for a list of splits (bunch_reduce, and
-measures' eof_bunches and survey), checks every split's labels, then
-reduces the splits in chunks. Two or more splits that share a union of
-k <= 7 qubits (4^k <= 2^15) read their blocks at _union_positions from
-one partial trace of the union, its outsider rows against its members'
-columns; every other split gathers its flip and outsider rows against
-its four columns, to the same bits. A freed 1 MiB block lifts glibc's
-mmap and trim thresholds, so chunk temporaries stay in the heap. The
-projector route is a test reference; data is checked where it enters.
+2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row
+and column weights: it sums each group's rows in one order, within
+_GATHER_ENTRIES = 2^15 entries (512 KiB), and reads a pure state's
+amplitudes undensified. partial_trace, the first stage, gathers the
+outsiders' rows against the kept qubits' columns. _split_blocks, the one
+entry for a list of splits (bunch_reduce, and measures' eof_bunches and
+survey), checks every split's labels, then runs its tasks, keyed by route
+and union size, in chunks. Two or more splits that share a union of
+k <= 7 qubits (4^k <= 2^15) read their blocks at _union_positions from the
+partial trace of the union; every other split gathers its flip and
+outsider rows (_split_weights) against its four columns, to the same
+bits. A freed 1 MiB block lifts glibc's mmap and trim thresholds, so
+chunk temporaries stay in the heap. The projector route is a test
+reference; data is checked where it enters.
 """
 
 from __future__ import annotations
@@ -35,10 +34,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
+from typing import Sequence
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, StateVector, _freeze, _trusted
+from .states import _ETA_FLOOR, DensityMatrix, StateVector, _check_cap, _freeze, _trusted
 
 
 @dataclass(frozen=True)
@@ -140,21 +140,27 @@ def _split_weights(weights_a: list[int], weights_b: list[int]) -> list[int]:
     return weights_a[1:] + weights_b[1:] + [sum(weights_a), sum(weights_b)]
 
 
-def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """The (G, K, K) sums of G groups, given as (G, R) row offsets and
-    (G, K) column offsets: group g adds, over its rows r in order, the
-    K x K term of the basis states outer[g, r] ^ inner[g], the outer product
-    of their amplitudes for a pure state or the block of rho between them.
+def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, groups: int) -> np.ndarray:
+    """The (items * 2^groups, K, K) sums of items given by bit weights. The
+    bits of an item's row weights span its row offsets, and each setting of
+    the first `groups` of them is one group; the bits of its column weights
+    span its K column offsets. A group adds, over its row offsets r in
+    order, the K x K term of the basis states r ^ c of its column offsets c,
+    the outer product of their amplitudes for a pure state or the block of
+    rho between them.
 
     No gather holds more than _GATHER_ENTRIES term entries: it takes as many
     whole groups as fit, or one group in blocks of rows, each block adding
     the running sum into its first row so that the sums keep their order."""
-    (count, rows), width = outer.shape, inner.shape[1]
-    groups = max(1, min(count, _GATHER_ENTRIES // (rows * width * width)))
+    rows, columns = np.array(rows, dtype=np.int64), np.array(columns, dtype=np.int64)
+    outer = (rows @ _row_bits(rows.shape[1])).reshape(len(rows) << groups, -1)
+    inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)
+    (count, length), width = outer.shape, inner.shape[1]
+    groups = max(1, min(count, _GATHER_ENTRIES // (length * width * width)))
     step = max(1, _GATHER_ENTRIES // (groups * width * width))
     sums = []
     for g in range(0, count, groups):
-        for lo in range(0, rows, step):
+        for lo in range(0, length, step):
             table = outer[g:g + groups, lo:lo + step, None] ^ inner[g:g + groups, None, :]
             if isinstance(state, StateVector):
                 amp = state.amplitudes[table]
@@ -171,15 +177,25 @@ def _gather_sums(state: StateVector | DensityMatrix, outer: np.ndarray, inner: n
     return np.concatenate(sums) if len(sums) > 1 else total
 
 
-def _group_sums(state: StateVector | DensityMatrix, rows: list, columns: list, groups: int) -> np.ndarray:
-    """The (items * 2^groups, K, K) sums of items given by bit weights: the
-    bits of an item's row weights span its row offsets, and each setting of
-    the first `groups` of them is one group of _gather_sums; the bits of its
-    column weights span the K column offsets of every group of the item."""
-    rows, columns = np.array(rows, dtype=np.int64), np.array(columns, dtype=np.int64)
-    outer = (rows @ _row_bits(rows.shape[1])).reshape(len(rows) << groups, -1)
-    inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)
-    return _gather_sums(state, outer, inner)
+def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
+    """Trace out every qubit not listed in `keep` (ascending labels): the
+    reduction's first stage, one gather of the outsiders' rows against the
+    kept qubits' columns, which reads a pure state undensified.
+
+    The kept qubits preserve their relative order and are relabeled
+    1..len(keep) in the result.
+    """
+    keep = tuple(map(operator.index, keep))
+    if not keep:
+        raise ValueError("keep list must not be empty")
+    if list(keep) != sorted(set(keep)):
+        raise ValueError(f"keep labels must be strictly ascending, got {keep}")
+    n = state.n_qubits
+    if keep[0] < 1 or keep[-1] > n:
+        raise ValueError(f"keep labels {keep} not contained in 1..{n}")
+    _check_cap("mixed", len(keep))
+    (reduced,) = _gather_sums(state, [_outsider_weights(keep, n)], [[1 << (n - x) for x in keep]], 0)
+    return _trusted(DensityMatrix, n_qubits=len(keep), entries=reduced)
 
 
 @lru_cache(maxsize=4096)
@@ -214,38 +230,33 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
         if union[-1] > n:
             raise ValueError(f"partition labels {partition.labels} exceed the state's {n} qubits")
         unions.setdefault(union, []).append(k)
-    shared: dict[int, list[tuple[int, ...]]] = {}
-    alone: dict[int, list[int]] = {}
-    for union, members in unions.items():
-        if len(members) > 1 and 4 ** len(union) <= budget:
-            shared.setdefault(len(union), []).append(union)
-        else:
-            alone.setdefault(len(union), []).extend(members)
-
-    def chunks(items: list, width: int) -> list[list]:
-        # an item gathers `width` columns (a split 4, a union 2^k) of all 2^n basis states
-        step = max(1, budget // (width << n))
-        return [items[lo:lo + step] for lo in range(0, len(items), step)]
-
-    for chunk in (c for group in alone.values() for c in chunks(group, 4)):
-        rows, columns = [], []
-        for p in (partitions[k] for k in chunk):  # one union size: one pattern count
-            *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
-            rows.append(flips + _outsider_weights(p.labels, n))
-            columns.append([fa, fb])
-        blocks = _group_sums(state, rows, columns, len(flips)).reshape(len(chunk), 1 << len(flips), 4, 4)
-        yield chunk, blocks, _pattern_weights(blocks).tolist()
-    for size, group in shared.items():
-        for chunk in chunks(group, 1 << size):
-            placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
-            ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in chunk]
-            index = np.array([_union_positions(tuple(map(ranks[c], partitions[k].bunch_a)),
-                                               tuple(map(ranks[c], partitions[k].bunch_b))) for c, k in placed])
-            index += np.array([c for c, _ in placed])[:, None, None, None] << 2 * size
-            # the reduced states live only in this line, so the next gather reuses their heap
-            blocks = _group_sums(state, [_outsider_weights(union, n) for union in chunk],
-                                 [[1 << (n - x) for x in union] for union in chunk], 0).reshape(-1)[index]
-            yield [k for _, k in placed], blocks, _pattern_weights(blocks).tolist()
+    tasks: dict[tuple[bool, int], list] = {}  # (union route?, union size): its unions, or its splits
+    for union, indices in unions.items():
+        shared = len(indices) > 1 and 4 ** len(union) <= budget
+        tasks.setdefault((shared, len(union)), []).extend([union] if shared else indices)
+    for (shared, size), items in tasks.items():
+        # an item gathers its columns (a union 2^k, a split 4) of all 2^n basis states
+        step = max(1, budget // ((1 << size if shared else 4) << n))
+        for chunk in (items[lo:lo + step] for lo in range(0, len(items), step)):
+            if shared:
+                placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
+                ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in chunk]
+                index = np.array([_union_positions(tuple(map(ranks[c], partitions[k].bunch_a)),
+                                                   tuple(map(ranks[c], partitions[k].bunch_b))) for c, k in placed])
+                index += np.array([c for c, _ in placed])[:, None, None, None] << 2 * size
+                members = [k for _, k in placed]
+                rows = [_outsider_weights(union, n) for union in chunk]
+                columns = [[1 << (n - x) for x in union] for union in chunk]
+            else:
+                members, rows, columns = chunk, [], []
+                for p in (partitions[k] for k in chunk):  # one union size: one pattern count
+                    *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
+                    rows.append(flips + _outsider_weights(p.labels, n))
+                    columns.append([fa, fb])
+            blocks = _gather_sums(state, rows, columns, 0 if shared else size - 2)
+            # rebound here, so the union's reduced states are freed before the yield
+            blocks = blocks.reshape(-1)[index] if shared else blocks.reshape(len(chunk), -1, 4, 4)
+            yield members, blocks, _pattern_weights(blocks).tolist()
 
 
 def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:

@@ -19,6 +19,7 @@ from .measures import eof_bunches, format_float, report_json_dict, survey, surve
 from .states import (
     DensityMatrix,
     StateVector,
+    _check_cap,
     bell_w_state,
     embedded_bell,
     entanglement_molecule,
@@ -61,7 +62,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
             raise ValueError(f"--bits expects a 0/1 string, got {args.bits!r}")
         state = ket_basis(len(args.bits), [int(c) for c in args.bits])
     elif args.kind == "molecule":
-        if args.uniform:
+        if args.uniform:  # the cap and the size rule come before the C(m, n) subsets are listed
+            _check_cap("mixed", args.m)
+            if not 2 <= args.n <= args.m:
+                raise ValueError(f"--n must satisfy 2 <= n <= {args.m}, got {args.n}")
             subsets = list(combinations(range(1, args.m + 1), args.n))
             weights = {s: 1.0 / len(subsets) for s in subsets}
         else:

@@ -281,30 +281,6 @@ def entanglement_molecule(
     return mix(terms)
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
-    """Trace out every qubit not listed in `keep` (ascending labels).
-
-    The kept qubits preserve their relative order and are relabeled
-    1..len(keep) in the result.
-    """
-    keep = tuple(map(operator.index, keep))
-    if not keep:
-        raise ValueError("keep list must not be empty")
-    if list(keep) != sorted(set(keep)):
-        raise ValueError(f"keep labels must be strictly ascending, got {keep}")
-    n = rho.n_qubits
-    if keep[0] < 1 or keep[-1] > n:
-        raise ValueError(f"keep labels {keep} not contained in 1..{n}")
-    kept = [k - 1 for k in keep]
-    kept_set = set(kept)
-    tens = rho.entries.reshape((2,) * (2 * n))
-    subs = list(range(n)) + [n + q if q in kept_set else q for q in range(n)]
-    out = kept + [n + q for q in kept]
-    reduced = np.einsum(tens, subs, out)
-    d = 2 ** len(keep)
-    return _trusted(DensityMatrix, n_qubits=len(keep), entries=reduced.reshape(d, d))
-
-
 # ---------------------------------------------------------------------------
 # state files
 

@@ -1,11 +1,12 @@
 """Random-state builders and hand-rolled oracles shared across test modules.
 
-The oracles include the reduction's stage-by-stage projector route
-(logical_index, build_projector, compress_operator) and the spin flip,
-which the package computes in one gather and one stacked chain instead.
-The gate helpers (on_qubits, relabelled) act on a state as local
-unitaries and qubit permutations do. Random builders take an explicit
-numpy Generator so seeds stay visible at the call sites.
+The oracles include the reduction's stage-by-stage projector route: a
+plain numpy partial trace (traced_onto), then logical_index,
+build_projector and compress_operator. The package takes both stages,
+partial_trace included, through one gather, and the spin flip through
+one stacked chain. The gate helpers (on_qubits, relabelled) act on a
+state as local unitaries and qubit permutations do. Random builders take
+an explicit numpy Generator so seeds stay visible at the call sites.
 """
 
 from itertools import product
@@ -24,7 +25,6 @@ from bunchent import (
     ghz,
     mix,
     normalize,
-    partial_trace,
 )
 from bunchent.measures import _SPIN_FLIP
 
@@ -59,6 +59,15 @@ def relabelled(rho: DensityMatrix, perm: dict[int, int]) -> DensityMatrix:
     axes = [x - 1 for x in sorted(perm, key=perm.get)]  # new axis j holds old axis axes[j]
     moved = rho.entries.reshape((2,) * 2 * n).transpose(axes + [n + a for a in axes])
     return DensityMatrix(n, moved.reshape(2 ** n, 2 ** n))
+
+
+def traced_onto(rho: DensityMatrix, keep: list[int]) -> np.ndarray:
+    """The partial trace onto ascending `keep` by plain numpy, apart from
+    the package's gather: the kept qubits moved first, the rest traced out."""
+    rest = [x for x in range(1, rho.n_qubits + 1) if x not in keep]
+    moved = relabelled(rho, {x: t for t, x in enumerate(keep + rest, 1)}).entries
+    dk, dr = 2 ** len(keep), 2 ** len(rest)
+    return moved.reshape(dk, dr, dk, dr).trace(axis1=1, axis2=3)
 
 
 def random_pure(rng: np.random.Generator, n_qubits: int) -> StateVector:
@@ -161,14 +170,14 @@ def spin_flip(rho) -> np.ndarray:
 
 
 def oracle_blocks(rho: DensityMatrix, part: BunchPartition) -> list[np.ndarray]:
-    """Partial trace onto the bunched qubits, relabelled 1..m+n, then one
+    """traced_onto the bunched qubits, relabelled 1..m+n, then one
     compress_operator per pattern: the reduction's two stages taken apart."""
     keep = sorted(part.labels)
     pos = {lab: t + 1 for t, lab in enumerate(keep)}
     local = BunchPartition(
         tuple(pos[x] for x in part.bunch_a), tuple(pos[x] for x in part.bunch_b)
     )
-    reduced = partial_trace(rho, keep)
+    reduced = traced_onto(rho, keep)
     return [compress_operator(reduced, local, p) for p in enumerate_patterns(local)]
 
 

@@ -34,6 +34,7 @@ from helpers import (
     random_mixed,
     random_partition,
     random_pure,
+    traced_onto,
     tripartite_oracle,
 )
 
@@ -218,7 +219,7 @@ def test_criterion_6_projector_route_equivalence(capsys):
             rho = random_mixed(rng, n)
             for part in enumerate_partitions(n):
                 keep = sorted(part.labels)
-                reduced = partial_trace(rho, keep).entries
+                reduced = traced_onto(rho, keep)
                 pos = {lab: t + 1 for t, lab in enumerate(keep)}
                 local = BunchPartition(
                     tuple(pos[x] for x in part.bunch_a),

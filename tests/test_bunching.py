@@ -27,7 +27,7 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import bunching, measures
-from bunchent.bunching import _pattern_count, _pattern_weights, _split_blocks
+from bunchent.bunching import _pattern_count, _pattern_weights, _split_blocks, _union_positions
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
@@ -299,8 +299,22 @@ def test_singleton_pair_equals_partial_trace(rng):
     rho = random_mixed(rng, 4)
     red = bunch_reduce(rho, BunchPartition((2,), (4,)))
     want = partial_trace(rho, [2, 4])
-    assert np.abs(red.rho_ab.entries - want.entries).max() < 1e-14
+    assert red.rho_ab.entries.tobytes() == want.entries.tobytes()
     assert red.etas == (pytest.approx(1.0, abs=1e-12),)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_split_blocks_read_the_partial_trace_of_their_union(rng, pure):
+    # the reduction's two stages: every split's blocks, on either route, are
+    # partial_trace onto its union read at _union_positions, to the bit
+    state = random_pure(rng, 6) if pure else random_mixed(rng, 6)
+    splits = enumerate_partitions(6, 2)
+    for members, blocks, _ in _split_blocks(state, splits):
+        for k, got in zip(members, blocks):
+            union = sorted(splits[k].labels)
+            ranks = [tuple(map(union.index, bunch)) for bunch in (splits[k].bunch_a, splits[k].bunch_b)]
+            want = partial_trace(state, union).entries.reshape(-1)[_union_positions(*ranks)]
+            assert got.tobytes() == want.tobytes()
 
 
 def test_reversed_singletons_swap_factors(rng):

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -388,6 +389,21 @@ def test_molecule_weights_validation(capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+def test_uniform_molecule_meets_cap_and_size_before_listing(capsys):
+    # C(22, 11) = 705,432 subsets, about 200 MB of tuples, are never listed
+    tracemalloc.start()
+    try:
+        assert main(["build", "molecule", "--m", "22", "--n", "11", "--w", "1", "--uniform"]) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert capsys.readouterr().err == "error: density matrix on 22 qubits exceeds the dense cap of 10\n"
+    for n in ("-1", "1", "5"):
+        assert main(["build", "molecule", "--m", "4", "--n", n, "--w", "1", "--uniform"]) == 2
+        assert capsys.readouterr().err == f"error: --n must satisfy 2 <= n <= 4, got {n}\n"
 
 
 def test_argparse_rejects_unknown(ghz3):

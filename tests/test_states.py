@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
@@ -397,6 +399,32 @@ def test_partial_trace_composes(rng):
     two_step = partial_trace(partial_trace(rho, [1, 3, 4]), [1, 3])
     one_step = partial_trace(rho, [1, 4])
     assert np.abs(two_step.entries - one_step.entries).max() < 1e-13
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), data=st.data())
+def test_partial_trace_reads_a_pure_state_as_its_density_matrix(seed, n, data):
+    # the gather reads amplitudes without densifying, to the same bits
+    psi = random_pure(np.random.default_rng(seed), n)
+    keep = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    got, want = partial_trace(psi, keep), partial_trace(densify(psi), keep)
+    assert got.n_qubits == len(keep) and got.entries.tobytes() == want.entries.tobytes()
+
+
+def test_partial_trace_of_a_pure_state_beyond_the_mixed_cap():
+    # 2^14 outsider rows of 4 entries each, gathered in bounded blocks; a
+    # first call builds the cached (14, 2^14) row-bit table, not a gather
+    psi = random_pure(np.random.default_rng(16), 16)
+    partial_trace(psi, [3, 11])
+    tracemalloc.start()
+    try:
+        pair = partial_trace(psi, [3, 11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert abs(pair.entries.trace() - 1.0) < 1e-12
+    with pytest.raises(CapacityError, match="density matrix on 11 qubits"):
+        partial_trace(psi, range(1, 12))
 
 
 def test_partial_trace_validation(rng):
