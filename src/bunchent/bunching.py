@@ -13,13 +13,15 @@ the weights over all patterns sum to one.
 Both stages pick entries of rho by basis index, a sum of the bit weights
 2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row
 and column weights: it sums each group's rows in one order, within
-_GATHER_ENTRIES = 2^15 entries (512 KiB), and reads a pure state's
-amplitudes undensified. partial_trace, the first stage, gathers the
-outsiders' rows against the kept qubits' columns. _split_blocks, the one
-entry for a list of splits (bunch_reduce, and measures' eof_bunches and
-survey), checks every split's labels, then runs its tasks, keyed by route
-and union size, in chunks. Two or more splits that share a union of
-k <= 7 qubits (4^k <= 2^15) read their blocks at _union_positions from the
+_GATHER_ENTRIES = 2^15 entries (512 KiB) or one K x K row if that is
+more (only a partial_trace onto k >= 8 qubits, K = 2^k; eof, reduce and
+survey gather K <= 2^7), and reads a pure state's amplitudes
+undensified. partial_trace, the first stage, gathers the outsiders' rows
+against the kept qubits' columns. _split_blocks, the one entry for a
+list of splits (bunch_reduce, and measures' eof_bunches and survey),
+checks every split's labels, then runs its tasks, keyed by route and
+union size, in chunks. Two or more splits that share a union of k <= 7
+qubits (4^k <= 2^15) read their blocks at _union_positions from the
 partial trace of the union; every other split gathers its flip and
 outsider rows (_split_weights) against its four columns, to the same
 bits. A freed 1 MiB block lifts glibc's mmap and trim thresholds, so
@@ -149,9 +151,11 @@ def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, 
     the outer product of their amplitudes for a pure state or the block of
     rho between them.
 
-    No gather holds more than _GATHER_ENTRIES term entries: it takes as many
-    whole groups as fit, or one group in blocks of rows, each block adding
-    the running sum into its first row so that the sums keep their order."""
+    A gather holds at most _GATHER_ENTRIES term entries or one K x K row:
+    it takes as many whole groups as fit, or one group in blocks of rows,
+    each block adding the running sum into its first row so that the sums
+    keep their order. A row of K >= 2^8 (partial_trace onto 8 or more
+    qubits) sits beside its running sum, about three times the result."""
     rows, columns = np.array(rows, dtype=np.int64), np.array(columns, dtype=np.int64)
     outer = (rows @ _row_bits(rows.shape[1])).reshape(len(rows) << groups, -1)
     inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)

@@ -1,9 +1,9 @@
 """Command line interface.
 
-Subcommands: build, reduce, eof, survey, check. Exit codes: 0 success,
-2 usage or parameter error, 3 capacity exceeded, 4 invariant violation,
-5 file I/O or format problem. Errors print a single `error: ...` line on
-stderr.
+Subcommands: build, reduce, eof, survey, check. Each writes its output or
+raises, and `main` maps the exception to an exit code by `_EXIT_CODES`:
+0 success, 2 usage or parameter error, 3 capacity exceeded, 4 invariant
+violation, 5 file I/O or format problem; one `error: ...` line on stderr.
 """
 
 from __future__ import annotations
@@ -38,19 +38,21 @@ def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
-def _bunch_labels(args: argparse.Namespace) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return _parse_labels(args.a, "--a"), _parse_labels(args.b, "--b")
+def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, BunchPartition]:
+    """The state and bunch pair of `reduce` and `eof`: labels parsed, file loaded, pair checked."""
+    labels = _parse_labels(args.a, "--a"), _parse_labels(args.b, "--b")
+    return load_state(args.state), BunchPartition(*labels)
 
 
-def _emit(text: str, output_path: str | None) -> None:
-    if output_path is None or output_path == "-":
+def _emit(text: str, output_path: str) -> None:
+    if output_path == "-":
         sys.stdout.write(text)
     else:
         with open(output_path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
-def _cmd_build(args: argparse.Namespace) -> int:
+def _cmd_build(args: argparse.Namespace) -> None:
     if args.kind == "ghz":
         state: StateVector | DensityMatrix = ghz(args.n)
     elif args.kind == "bellw":
@@ -61,7 +63,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if not args.bits or args.bits.strip("01"):
             raise ValueError(f"--bits expects a 0/1 string, got {args.bits!r}")
         state = ket_basis(len(args.bits), [int(c) for c in args.bits])
-    elif args.kind == "molecule":
+    else:  # molecule, the last of argparse's choices
         if args.uniform:  # the cap and the size rule come before the C(m, n) subsets are listed
             _check_cap("mixed", args.m)
             if not 2 <= args.n <= args.m:
@@ -73,7 +75,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 raise ValueError("molecule needs --uniform or --weights")
             try:
                 raw = json.loads(args.weights)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
                 raise ValueError("--weights is not valid JSON") from None
             if not isinstance(raw, dict):
                 raise ValueError("--weights must be a JSON object")
@@ -84,38 +86,29 @@ def _cmd_build(args: argparse.Namespace) -> int:
                 for key, val in raw.items()
             }
         state = entanglement_molecule(args.m, args.n, args.w, weights)
-    else:  # pragma: no cover - argparse restricts the choices
-        raise ValueError(f"unknown build kind {args.kind!r}")
     _emit(json.dumps(state_payload(state)) + "\n", args.out)
-    return 0
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
-    bunch_a, bunch_b = _bunch_labels(args)
-    reduction = bunch_reduce(load_state(args.state), BunchPartition(bunch_a, bunch_b))
-    _emit(json.dumps(reduction_report(reduction), indent=2) + "\n", args.out)
-    return 0
+def _cmd_reduce(args: argparse.Namespace) -> None:
+    _emit(json.dumps(reduction_report(bunch_reduce(*_split(args))), indent=2) + "\n", args.out)
 
 
-def _cmd_eof(args: argparse.Namespace) -> int:
-    bunch_a, bunch_b = _bunch_labels(args)
-    report = eof_bunches(load_state(args.state), BunchPartition(bunch_a, bunch_b))
+def _cmd_eof(args: argparse.Namespace) -> None:
+    report = eof_bunches(*_split(args))
     sys.stdout.write(f"concurrence {report.concurrence:.12f}\n")
     sys.stdout.write(f"eof {report.eof:.12f}\n")
-    if args.out is not None and args.out != "-":
+    if args.out not in (None, "-"):
         _emit(json.dumps(report_json_dict(report), indent=2) + "\n", args.out)
-    return 0
 
 
-def _cmd_survey(args: argparse.Namespace) -> int:
+def _cmd_survey(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
     _emit(survey_csv(reports) if args.format == "csv" else survey_json(reports), args.out)
-    return 0
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> None:
     kind, _, array = read_state_file(args.state)
     rows = [(f"{name} {format_float(defect)}", holds)
             for name, defect, holds, _ in state_defects(kind, array)]
@@ -123,7 +116,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     failed = [line for line, holds in rows if not holds]
     if failed:
         raise InvariantError("; ".join(failed))
-    return 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -175,6 +167,9 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# no class here subclasses another, so an exception matches exactly one row
+_EXIT_CODES = {CapacityError: 3, InvariantError: 4, FileFormatError: 5, OSError: 5, ValueError: 2}
+
 _COMMANDS = {
     "build": _cmd_build,
     "reduce": _cmd_reduce,
@@ -187,19 +182,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except CapacityError as exc:
+        _COMMANDS[args.command](args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (FileFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -315,7 +315,7 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or bytes, too many digits, too deep
             raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from bunchent import densify, ghz, load_state, save_state
 from bunchent import measures
-from bunchent.cli import main
+from bunchent.cli import _EXIT_CODES, main
+from bunchent.errors import CapacityError, FileFormatError, InvariantError
 from helpers import random_mixed, random_pure
 
 
@@ -372,6 +373,24 @@ def test_exit_code_file_problems(tmp_path, capsys):
             assert err.startswith("error: ")
             assert err.count("\n") == 1
 
+    # json's nesting depth and Python's integer digit limit are file problems,
+    # named with the path, not a RecursionError traceback or a bare exit 2
+    digits = "1" + "0" * 4999
+    texts = {
+        "deep2000": "[" * 2000 + "]" * 2000,
+        "deep100000": "[" * 100_000 + "]" * 100_000,
+        "digits_n": '{"kind": "pure", "n_qubits": %s, "amplitudes": [[1.0, 0.0]]}' % digits,
+        "digits_amp": '{"kind": "pure", "n_qubits": 1, "amplitudes": [[%s, 0.0], [0.0, 0.0]]}' % digits,
+    }
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for command in ("check", "survey"):
+            assert main([command, str(path)]) == 5
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: not valid JSON (")
+            assert err.count("\n") == 1
+
 
 def test_molecule_weights_validation(capsys):
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
@@ -384,6 +403,7 @@ def test_molecule_weights_validation(capsys):
         '{"1-2-3": 0.5}',
         '{"1-2-3": true}',
         '{"1-2-3": "1"}',
+        '{"1-2-3": ' + "[" * 3000 + "]" * 3000 + "}",
     ):
         assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", weights]) == 2
         err = capsys.readouterr().err
@@ -404,6 +424,47 @@ def test_uniform_molecule_meets_cap_and_size_before_listing(capsys):
     for n in ("-1", "1", "5"):
         assert main(["build", "molecule", "--m", "4", "--n", n, "--w", "1", "--uniform"]) == 2
         assert capsys.readouterr().err == f"error: --n must satisfy 2 <= n <= 4, got {n}\n"
+
+
+GOLDEN_EOF = "concurrence 1.000000000000\neof 1.000000000000\n"
+
+# (raised class, command, exit code, stdout): a success row, then one row per
+# class of the exit table; an OSError is an --out into a missing directory
+EXIT_ROWS = [
+    (None, ["eof", "{ghz3}", "--a", "1", "--b", "2,3", "--out", "{tmp}/r.json"], 0, GOLDEN_EOF),
+    (ValueError, ["eof", "{ghz3}", "--a", "x", "--b", "2"], 2, ""),
+    (CapacityError, ["build", "ghz", "--n", "17"], 3, ""),
+    (InvariantError, ["survey", "{trace2}"], 4, ""),
+    (FileFormatError, ["survey", "{garbled}"], 5, ""),
+    (OSError, ["survey", "{ghz3}", "--out", "{tmp}/missing/x"], 5, ""),
+    (OSError, ["reduce", "{ghz3}", "--a", "1", "--b", "2", "--out", "{tmp}/missing/x"], 5, ""),
+    (OSError, ["build", "ghz", "--n", "3", "--out", "{tmp}/missing/x"], 5, ""),
+    # eof prints its two lines before it writes --out
+    (OSError, ["eof", "{ghz3}", "--a", "1", "--b", "2,3", "--out", "{tmp}/missing/x"], 5, GOLDEN_EOF),
+]
+
+
+def test_exit_rows_cover_the_table():
+    assert {kind for kind, *_ in EXIT_ROWS} == {None, *_EXIT_CODES}
+    assert all(code == _EXIT_CODES.get(kind, 0) for kind, _, code, _ in EXIT_ROWS)
+
+
+@pytest.mark.parametrize(
+    "kind, argv, code, stdout", EXIT_ROWS,
+    ids=[f"{getattr(kind, '__name__', 'success')}-{argv[0]}" for kind, argv, *_ in EXIT_ROWS],
+)
+def test_exit_table_row(kind, argv, code, stdout, ghz3, tmp_path, capsys):
+    trace2, garbled = tmp_path / "trace2.json", tmp_path / "garbled.json"
+    trace2.write_text(json.dumps({"kind": "mixed", "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}))
+    garbled.write_text('{"kind": "pure", "amplitudes": [[1.0, 0.0], [0.0')
+    paths = {"ghz3": ghz3, "tmp": tmp_path, "trace2": trace2, "garbled": garbled}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert err == ""
 
 
 def test_argparse_rejects_unknown(ghz3):

@@ -411,18 +411,21 @@ def test_partial_trace_reads_a_pure_state_as_its_density_matrix(seed, n, data):
 
 
 def test_partial_trace_of_a_pure_state_beyond_the_mixed_cap():
-    # 2^14 outsider rows of 4 entries each, gathered in bounded blocks; a
-    # first call builds the cached (14, 2^14) row-bit table, not a gather
+    # [3, 11]: 2^14 outsider rows of 4 entries each, gathered in bounded
+    # blocks. 1..8: 2^8 rows of 256 x 256 entries, one row a block beside its
+    # running sum (1 MiB each); all 256 at once would take 256 MiB. A first
+    # call builds the cached row-bit tables, not a gather
     psi = random_pure(np.random.default_rng(16), 16)
-    partial_trace(psi, [3, 11])
-    tracemalloc.start()
-    try:
-        pair = partial_trace(psi, [3, 11])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
-    assert abs(pair.entries.trace() - 1.0) < 1e-12
+    for keep, bound in (([3, 11], 2 * 2**20), (range(1, 9), 4 * 2**20)):
+        partial_trace(psi, keep)
+        tracemalloc.start()
+        try:
+            reduced = partial_trace(psi, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+        assert abs(reduced.entries.trace() - 1.0) < 1e-12
     with pytest.raises(CapacityError, match="density matrix on 11 qubits"):
         partial_trace(psi, range(1, 12))
 
