@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager, suppress
 from itertools import combinations
 
 from .bunching import BunchPartition, bunch_reduce, reduction_report
@@ -44,15 +46,38 @@ def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, Bunch
     return load_state(args.state), BunchPartition(*labels)
 
 
-def _emit(text: str, output_path: str) -> None:
-    if output_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(output_path, "w", encoding="utf-8") as fh:
+@contextmanager
+def _output(path: str):
+    """Yield the writer of a command's output: stdout for "-", else one that replaces the file
+    at `path`. That file is opened for appending first, which creates a missing one and keeps an
+    existing one's bytes, so an unwritable path fails before the command computes; a file
+    created here is removed if the block raises."""
+    if path == "-":
+        yield sys.stdout.write
+        return
+
+    def write(text: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+    created = not os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        yield write
+    except BaseException:
+        if created:
+            with suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _cmd_build(args: argparse.Namespace) -> None:
+    with _output(args.out) as write:
+        write(json.dumps(state_payload(_built(args))) + "\n")
+
+
+def _built(args: argparse.Namespace) -> StateVector | DensityMatrix:
+    """The state `build` names, its arguments checked before any subset is listed."""
     if args.kind == "ghz":
         state: StateVector | DensityMatrix = ghz(args.n)
     elif args.kind == "bellw":
@@ -86,26 +111,29 @@ def _cmd_build(args: argparse.Namespace) -> None:
                 for key, val in raw.items()
             }
         state = entanglement_molecule(args.m, args.n, args.w, weights)
-    _emit(json.dumps(state_payload(state)) + "\n", args.out)
+    return state
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
-    _emit(json.dumps(reduction_report(bunch_reduce(*_split(args))), indent=2) + "\n", args.out)
+    with _output(args.out) as write:
+        write(json.dumps(reduction_report(bunch_reduce(*_split(args))), indent=2) + "\n")
 
 
 def _cmd_eof(args: argparse.Namespace) -> None:
     report = eof_bunches(*_split(args))
     sys.stdout.write(f"concurrence {report.concurrence:.12f}\n")
     sys.stdout.write(f"eof {report.eof:.12f}\n")
-    if args.out not in (None, "-"):
-        _emit(json.dumps(report_json_dict(report), indent=2) + "\n", args.out)
+    if args.out not in (None, "-"):  # after the two lines, as README documents
+        with _output(args.out) as write:
+            write(json.dumps(report_json_dict(report), indent=2) + "\n")
 
 
 def _cmd_survey(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
-    _emit(survey_csv(reports) if args.format == "csv" else survey_json(reports), args.out)
+    with _output(args.out) as write:
+        reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
+        write(survey_csv(reports) if args.format == "csv" else survey_json(reports))
 
 
 def _cmd_check(args: argparse.Namespace) -> None:

@@ -15,6 +15,7 @@ import json
 import math
 import operator
 import os
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -304,6 +305,60 @@ def save_state(state: StateVector | DensityMatrix, path) -> None:
         fh.write("\n")
 
 
+# the layout save_state writes: json.dumps's default separators, then a newline
+_LAYOUT_HEAD = re.compile(rb'\{"kind": "(pure|mixed)", "n_qubits": ([1-9][0-9]?), "(amplitudes|matrix)": ')
+_NUMBER_BYTES = b"0123456789.-+eE"
+_BRACKETS_AS_SPACES = bytes.maketrans(b"[]", b"  ")
+_PIECE_BYTES = 2 ** 16
+
+
+def _no_integer(token: str):
+    raise ValueError(f"integer entry {token}")  # the json path gives integers their own dtype
+
+
+def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
+    """The (kind, n_qubits, [re, im] float64 array) of a file in save_state's exact layout, read in
+    64 KiB pieces without nested lists; None or ValueError for any file it cannot vouch for.
+
+    Each piece ends after a "], ". Its skeleton (the piece less its number characters) must be the
+    expected one at the same offset. Less its digits, it may show no empty slot ("[," or " ]"): a
+    number moved out of its slot leaves one, and so does an integer. With its brackets blanked, not
+    deleted, so that no two numbers join, it must parse by JSON's grammar as floats. Then every
+    number is a JSON float in its own slot.
+    """
+    with open(path, "rb") as fh:
+        text = fh.read(_PIECE_BYTES)
+        head = _LAYOUT_HEAD.match(text)
+        if head is None or (head[1] == b"pure") != (head[3] == b"amplitudes"):
+            return None
+        kind, n_qubits = head[1].decode(), int(head[2])
+        if n_qubits > capacity_caps()[kind == "pure"]:
+            return None  # the json path parses first, then meets the cap
+        d = 2 ** n_qubits
+        skeleton = b"[" + b", ".join([b"[, ]"] * d) + b"]"
+        if kind == "mixed":
+            skeleton = b"[" + b", ".join([skeleton] * d) + b"]"
+        raw = np.empty((d, d, 2) if kind == "mixed" else (d, 2))
+        flat, done, at, text, more = raw.reshape(-1), 0, 0, text[head.end():], True
+        while more:
+            more = fh.read(_PIECE_BYTES)
+            text += more
+            cut = text.rfind(b"], ") + 3 if more else len(text) - 2  # the last piece ends before "}\n"
+            piece, text = text[:cut], text[cut:]
+            lean = piece.translate(None, b"0123456789")  # a float keeps a "." or an "e"
+            bare = lean.translate(None, _NUMBER_BYTES)
+            if (cut < 3 or skeleton[at:at + len(bare)] != bare or b"[," in lean or b" ]" in lean
+                    or not (more or text == b"}\n")):
+                return None
+            blanked = piece.translate(_BRACKETS_AS_SPACES).rstrip(b", ")
+            values = json.loads(b"[%s]" % blanked, parse_int=_no_integer)
+            flat[done:done + len(values)] = values
+            at, done = at + len(bare), done + len(values)
+    if at != len(skeleton) or done != flat.size or not np.isfinite(flat).all():
+        return None
+    return kind, n_qubits, raw
+
+
 def read_state_file(path) -> tuple[str, int, np.ndarray]:
     """Parse a state file without enforcing state invariants.
 
@@ -311,7 +366,19 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     vector or the density matrix, of dimension 2**n_qubits. Structural problems
     raise FileFormatError, and a state above its kind's qubit cap CapacityError
     before its array is built; :func:`state_defects` holds the invariants.
+    A file in save_state's layout is read in pieces; any other goes through
+    json.load, and both give the same floats.
     """
+    try:
+        parsed = _read_layout(path)
+    except ValueError:  # JSON's number grammar, an integer entry, or a bad BUNCHENT_MAX_QUBITS
+        parsed = None
+    kind, n_qubits, raw = parsed or _read_json(path)
+    return kind, n_qubits, raw[..., 0] + 1j * raw[..., 1]
+
+
+def _read_json(path) -> tuple[str, int, np.ndarray]:
+    """read_state_file for any JSON layout, through json.load; the array is [re, im] float64."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -341,17 +408,16 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     expected_ndim = 2 if kind == "pure" else 3
     if raw.ndim != expected_ndim or raw.shape[-1] != 2:
         raise FileFormatError(f"{path}: field {field!r} has shape {raw.shape}")
-    array = raw[..., 0] + 1j * raw[..., 1]
-    size = array.shape[0]
-    if kind == "mixed" and array.shape[0] != array.shape[1]:
-        raise FileFormatError(f"{path}: matrix is not square: shape {array.shape}")
+    size = raw.shape[0]
+    if kind == "mixed" and raw.shape[0] != raw.shape[1]:
+        raise FileFormatError(f"{path}: matrix is not square: shape {raw.shape[:-1]}")
     if size < 2 or size & (size - 1):
         raise FileFormatError(f"{path}: dimension {size} is not a power of two")
     if n_qubits is None:
         n_qubits = size.bit_length() - 1
     elif n_qubits != size.bit_length() - 1:
         raise FileFormatError(f"{path}: dimension {size} does not match n_qubits {n_qubits}")
-    return kind, n_qubits, array
+    return kind, n_qubits, raw
 
 
 def load_state(path) -> StateVector | DensityMatrix:

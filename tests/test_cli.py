@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bunchent import densify, ghz, load_state, save_state
-from bunchent import measures
+from bunchent import measures, states
 from bunchent.cli import _EXIT_CODES, main
 from bunchent.errors import CapacityError, FileFormatError, InvariantError
 from helpers import random_mixed, random_pure
@@ -391,6 +391,38 @@ def test_exit_code_file_problems(tmp_path, capsys):
             assert err.startswith(f"error: {path}: not valid JSON (")
             assert err.count("\n") == 1
 
+    # save_state's layout with one fault each: the piecewise reader hands every
+    # such file to json.load, so check exits and prints as without that reader
+    valid = tmp_path / "valid.json"
+    save_state(densify(random_pure(np.random.default_rng(2), 2)), valid)
+    text = valid.read_text()
+    first, imag = text.split('"matrix": [[[', 1)[1].split("]", 1)[0].split(", ")  # the first entry
+    faults = {token: text.replace(first, token, 1) for token in
+              ("+1", "01", "1.", ".5", "1e999", "NaN", "true", "1", "1" + "0" * 4999)}
+    faults.update({
+        "deleted bracket": text.replace("]", "", 1),
+        # invalid JSON with the right skeleton and the right numbers once brackets are deleted
+        "number moved past its bracket": text.replace(f", {imag}]", f", ]{imag}", 1),
+        "number split by a bracket": text.replace(f", {imag}]", f", {imag[:3]}]{imag[3:]}", 1),
+        "ragged row": text.replace("[%s], " % text.split("], [", 2)[1], "", 1),
+        "extra pair": text.replace("]], [[", "], [0.0, 0.0]], [[", 1),
+        "n_qubits one too small": text.replace('"n_qubits": 2', '"n_qubits": 1'),
+        "over the cap, truncated": '{"kind": "mixed", "n_qubits": 11, "matrix": [[[0.1, ',
+        "no final newline": text[:-1],
+    })
+    with mock.patch.object(states, "_read_json", side_effect=AssertionError("json path")):
+        assert main(["check", str(valid)]) == 0
+    capsys.readouterr()
+    for name, fault in faults.items():
+        path = tmp_path / "fault.json"
+        path.write_text(fault)
+        with mock.patch.object(states, "_read_json", wraps=states._read_json) as json_path:
+            code = main(["check", str(path)])
+        out, err = capsys.readouterr()
+        assert json_path.call_count == 1, name
+        with mock.patch.object(states, "_read_layout", return_value=None):
+            assert (main(["check", str(path)]), *capsys.readouterr()) == (code, out, err), name
+
 
 def test_molecule_weights_validation(capsys):
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
@@ -465,6 +497,35 @@ def test_exit_table_row(kind, argv, code, stdout, ghz3, tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
     else:
         assert err == ""
+
+
+def test_out_fails_before_the_survey(ghz3, capsys):
+    # an --out that cannot be opened stops survey before a split is listed
+    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")) as listed:
+        assert main(["survey", ghz3, "--out", "/nonexistent/x"]) == 5
+    listed.assert_not_called()
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/nonexistent/x'\n"
+
+
+def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
+    # survey, reduce and build open --out first; a failure after that removes
+    # a file they created and leaves an existing file's bytes alone
+    trace2 = tmp_path / "trace2.json"
+    trace2.write_text(json.dumps({"kind": "mixed", "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}))
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    for argv, code in (
+        (["survey", str(trace2)], 4),
+        (["reduce", str(trace2), "--a", "1", "--b", "2"], 4),
+        (["build", "molecule", "--m", "4", "--n", "5", "--w", "1", "--uniform"], 2),
+    ):
+        for out in (new, old):
+            assert main([*argv, "--out", str(out)]) == code
+            assert capsys.readouterr().out == ""
+        assert not new.exists()
+        assert old.read_bytes() == b"kept\n"
+    assert main(["build", "ghz", "--n", "2", "--out", str(old)]) == 0
+    assert json.loads(old.read_text())["n_qubits"] == 2
 
 
 def test_argparse_rejects_unknown(ghz3):

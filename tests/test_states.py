@@ -547,6 +547,53 @@ def test_read_state_file_rejections(tmp_path):
             read_state_file(path)
 
 
+@given(seed=st.integers(0, 2**32 - 1), pure=st.booleans(), data=st.data())
+def test_read_state_file_reads_both_layouts_to_the_same_bits(seed, pure, data, tmp_path_factory):
+    # save_state's layout takes the piecewise reader; the same payload dumped with
+    # indent=1 takes json.load; kind, n and array bits agree
+    rng = np.random.default_rng(seed)
+    n = data.draw(st.integers(1, 6 if pure else 4))
+    state = random_pure(rng, n) if pure else random_mixed(rng, n)
+    folder = tmp_path_factory.mktemp("layouts")
+    save_state(state, folder / "saved.json")
+    with open(folder / "indented.json", "w", encoding="utf-8") as fh:
+        json.dump(states.state_payload(state), fh, indent=1)
+    assert states._read_layout(folder / "saved.json") is not None
+    assert states._read_layout(folder / "indented.json") is None
+    (kind, n_saved, saved), (kind_indented, n_indented, indented) = (
+        read_state_file(folder / name) for name in ("saved.json", "indented.json"))
+    assert (kind, n_saved) == (kind_indented, n_indented) == ("pure" if pure else "mixed", n)
+    assert saved.shape == indented.shape and saved.tobytes() == indented.tobytes()
+
+
+def test_read_state_file_keeps_the_json_paths_signed_zeros(tmp_path):
+    # both readers build re + 1j * im, which turns an imaginary part's -0.0 into +0.0
+    path = tmp_path / "zeros.json"
+    path.write_text(json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [
+        [[0.5, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.5, -0.0]]]}) + "\n")
+    assert states._read_layout(path) is not None
+    _, _, array = read_state_file(path)
+    with mock.patch.object(states, "_read_layout", return_value=None):
+        _, _, via_json = read_state_file(path)
+    assert array.tobytes() == via_json.tobytes()
+    assert not np.signbit(array.imag).any()  # a view of the [re, im] pairs would keep four
+
+
+def test_read_state_file_memory_is_bounded(tmp_path):
+    # a mixed 9-qubit file (13 MB of text, a 4 MiB matrix) is read in pieces
+    # into one float64 array; json.load's nested lists took 48.5 MiB here
+    path = tmp_path / "mixed9.json"
+    save_state(densify(random_pure(np.random.default_rng(9), 9)), path)
+    tracemalloc.start()
+    try:
+        kind, n, array = read_state_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (kind, n, array.shape) == ("mixed", 9, (512, 512))
+    assert peak < 4 * array.nbytes
+
+
 def test_read_state_file_infers_qubit_count(tmp_path):
     path = tmp_path / "no_n.json"
     payload = {"kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
