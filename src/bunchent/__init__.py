@@ -7,28 +7,7 @@ state feeds the standard two-qubit measures, concurrence and entanglement
 of formation.
 """
 
-from .bunching import (
-    BunchPartition,
-    BunchReduction,
-    PatternPair,
-    ReductionComponent,
-    bunch_reduce,
-    enumerate_partitions,
-    enumerate_patterns,
-    partial_trace,
-    reduction_report,
-    tripartite_triple,
-)
 from .errors import BunchentError, CapacityError, FileFormatError, InvariantError
-from .measures import (
-    EntanglementReport,
-    binary_entropy,
-    concurrence,
-    eof,
-    eof_bunches,
-    survey,
-    survey_csv,
-)
 from .states import (
     DensityMatrix,
     StateVector,
@@ -87,3 +66,15 @@ __all__ = [
     "tensor",
     "tripartite_triple",
 ]
+
+
+def __getattr__(name: str):  # bunching and measures load on first use of a name of theirs (PEP 562)
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import bunching, measures
+    value = globals()[name] = getattr(bunching if hasattr(bunching, name) else measures, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

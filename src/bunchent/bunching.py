@@ -32,7 +32,6 @@ reference; data is checked where it enters.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import comb
@@ -40,19 +39,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, StateVector, _check_cap, _freeze, _trusted
+from .states import _ETA_FLOOR, DensityMatrix, StateVector, _check_cap, _freeze, _Record, _trusted
 
 
-@dataclass(frozen=True)
-class BunchPartition:
+class _Value(_Record):
+    """A record equal to, and hashed as, the tuple of its fields, as a frozen dataclass is."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class BunchPartition(_Value):
     """Two disjoint ordered bunches of qubit labels; each anchor comes first."""
 
-    bunch_a: tuple[int, ...]
-    bunch_b: tuple[int, ...]
+    __match_args__ = ("bunch_a", "bunch_b")
 
-    def __post_init__(self) -> None:
-        a = tuple(map(operator.index, self.bunch_a))
-        b = tuple(map(operator.index, self.bunch_b))
+    def __init__(self, bunch_a: Sequence[int], bunch_b: Sequence[int]) -> None:
+        a = tuple(map(operator.index, bunch_a))
+        b = tuple(map(operator.index, bunch_b))
         if not a or not b:
             raise ValueError("both bunches must be non-empty")
         labels = a + b
@@ -60,8 +70,7 @@ class BunchPartition:
             raise ValueError(f"qubit labels must be positive, got {labels}")
         if len(set(labels)) != len(labels):
             raise ValueError(f"bunches must not share or repeat labels: {a} and {b}")
-        object.__setattr__(self, "bunch_a", a)
-        object.__setattr__(self, "bunch_b", b)
+        super().__init__(a, b)
 
     @property
     def m(self) -> int:
@@ -76,32 +85,34 @@ class BunchPartition:
         return self.bunch_a + self.bunch_b
 
 
-@dataclass(frozen=True)
-class PatternPair:
+class PatternPair(_Value):
     """Relative flip bits for the non-anchor members of each bunch."""
 
-    mask_a: tuple[int, ...]
-    mask_b: tuple[int, ...]
+    __match_args__ = ("mask_a", "mask_b")
+
+    def __init__(self, mask_a: tuple[int, ...], mask_b: tuple[int, ...]) -> None:
+        super().__init__(mask_a, mask_b)
 
 
-@dataclass(frozen=True, eq=False)
-class ReductionComponent:
+class ReductionComponent(_Record):
     """One pattern block: its weight and, when the weight is nonzero,
     the normalized two-qubit state carried by the block."""
 
-    pattern: PatternPair
-    eta: float
-    rho_pattern: DensityMatrix | None
+    __match_args__ = ("pattern", "eta", "rho_pattern")
+
+    def __init__(self, pattern: PatternPair, eta: float, rho_pattern: DensityMatrix | None) -> None:
+        super().__init__(pattern, eta, rho_pattern)
 
 
-@dataclass(frozen=True, eq=False)
-class BunchReduction:
+class BunchReduction(_Record):
     """Result of a bunch reduction: the summed two-qubit operator plus
     the per-pattern decomposition."""
 
-    partition: BunchPartition
-    rho_ab: DensityMatrix
-    components: tuple[ReductionComponent, ...]
+    __match_args__ = ("partition", "rho_ab", "components")
+
+    def __init__(self, partition: BunchPartition, rho_ab: DensityMatrix,
+                 components: tuple[ReductionComponent, ...]) -> None:
+        super().__init__(partition, rho_ab, components)
 
     @property
     def etas(self) -> tuple[float, ...]:

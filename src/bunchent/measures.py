@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .bunching import BunchPartition, _pattern_count, _split_blocks, enumerate_partitions
 from .errors import CapacityError
-from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector
+from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector, _Record
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -36,16 +35,15 @@ _SPIN_FLIP = np.array(
 )
 
 
-@dataclass(frozen=True, eq=False)
-class EntanglementReport:
+class EntanglementReport(_Record):
     """Concurrence, entanglement of formation and the spin-flip spectrum,
     optionally tagged with the partition and pattern weights it came from."""
 
-    concurrence: float
-    eof: float
-    lambdas: tuple[float, float, float, float]
-    partition: BunchPartition | None = None
-    etas: tuple[float, ...] | None = None
+    __match_args__ = ("concurrence", "eof", "lambdas", "partition", "etas")
+
+    def __init__(self, concurrence: float, eof: float, lambdas: tuple[float, float, float, float],
+                 partition: BunchPartition | None = None, etas: tuple[float, ...] | None = None) -> None:
+        super().__init__(concurrence, eof, lambdas, partition, etas)
 
 
 def binary_entropy(x: float) -> float:

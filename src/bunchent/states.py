@@ -16,7 +16,6 @@ import math
 import operator
 import os
 import re
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -111,48 +110,60 @@ def _enforce(kind: str, array: np.ndarray) -> None:
             raise InvariantError(message)
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class _Record:
+    """A frozen record of the fields named in __match_args__, set once and in order by __init__ or
+    _trusted: it cannot be assigned or deleted, prints as a dataclass does and compares by identity."""
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={getattr(self, k)!r}' for k in self.__match_args__)})"
+
+
+class StateVector(_Record):
     """Pure state of n_qubits qubits as a flat amplitude vector.
 
     The amplitudes must already be normalized; use :func:`normalize` to
     build a state from a raw vector.
     """
 
-    n_qubits: int
-    amplitudes: np.ndarray
+    __match_args__ = ("n_qubits", "amplitudes")
 
-    def __post_init__(self) -> None:
-        _check_cap("pure", self.n_qubits)
-        amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if amps.size != 2 ** self.n_qubits:
-            raise ValueError(
-                f"amplitude vector has length {amps.size}, expected {2 ** self.n_qubits}"
-            )
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
+        _check_cap("pure", n_qubits)
+        amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+        if amps.size != 2 ** n_qubits:
+            raise ValueError(f"amplitude vector has length {amps.size}, expected {2 ** n_qubits}")
         _enforce("pure", amps)
-        object.__setattr__(self, "amplitudes", _freeze(amps))
+        super().__init__(n_qubits, _freeze(amps))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Record):
     """Mixed state of n_qubits qubits: Hermitian, trace one, positive semidefinite."""
 
-    n_qubits: int
-    entries: np.ndarray
+    __match_args__ = ("n_qubits", "entries")
 
-    def __post_init__(self) -> None:
-        _check_cap("mixed", self.n_qubits)
-        mat = np.array(self.entries, dtype=np.complex128)
-        d = 2 ** self.n_qubits
+    def __init__(self, n_qubits: int, entries: np.ndarray) -> None:
+        _check_cap("mixed", n_qubits)
+        mat = np.array(entries, dtype=np.complex128)
+        d = 2 ** n_qubits
         if mat.shape != (d, d):
             raise ValueError(f"entries have shape {mat.shape}, expected {(d, d)}")
         _enforce("mixed", mat)
-        object.__setattr__(self, "entries", _freeze(mat))
+        super().__init__(n_qubits, _freeze(mat))
 
 
 def _trusted(cls, **fields):
     """A StateVector, DensityMatrix or BunchPartition from fields checked where their data
-    entered, or derived from checked objects: no __post_init__, arrays frozen in place."""
+    entered, or derived from checked objects: no __init__, arrays frozen in place."""
     obj = object.__new__(cls)
     for name, value in fields.items():  # vars(obj).update would build a __dict__, 150 B more each
         object.__setattr__(obj, name, _freeze(value) if isinstance(value, np.ndarray) else value)
@@ -299,10 +310,9 @@ def state_payload(state: StateVector | DensityMatrix) -> dict:
 
 def save_state(state: StateVector | DensityMatrix, path) -> None:
     """Write a state to a JSON file."""
-    payload = state_payload(state)
+    text = json.dumps(state_payload(state)) + "\n"  # one write: json.dump feeds many small chunks
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text)
 
 
 # the layout save_state writes: json.dumps's default separators, then a newline

@@ -4,6 +4,7 @@ The index convention under test: qubit 1 is the most significant bit, so
 |b1 b2 ... bn> sits at index sum b_k 2^(n-k).
 """
 
+import io
 import json
 import tracemalloc
 from itertools import combinations
@@ -489,6 +490,26 @@ def test_state_file_round_trip_mixed(tmp_path, rng):
     back = load_state(path)
     assert isinstance(back, DensityMatrix)
     assert np.allclose(back.entries, rho.entries)
+
+
+def test_save_state_writes_the_json_dump_text(tmp_path, rng):
+    # save_state writes json.dumps(payload) + "\n" in one write; the text is what
+    # json.dump(payload, fh) then fh.write("\n") wrote, signed zeros and tiny values included
+    psi = StateVector(1, [0.6, -0.8j])  # -0.8j has a real part of -0.0
+    tiny = complex(5e-324, -0.0)
+    rho = DensityMatrix(1, [[complex(0.5, -0.0), tiny], [tiny.conjugate(), 0.5]])
+    expected = {
+        psi: '{"kind": "pure", "n_qubits": 1, "amplitudes": [[0.6, 0.0], [-0.0, -0.8]]}\n',
+        rho: '{"kind": "mixed", "n_qubits": 1, "matrix": [[[0.5, -0.0], [5e-324, -0.0]], '
+             '[[5e-324, 0.0], [0.5, 0.0]]]}\n',
+    }
+    for state in (*expected, random_pure(rng, 4), random_mixed(rng, 3)):
+        dumped = io.StringIO()
+        json.dump(states.state_payload(state), dumped)
+        dumped.write("\n")
+        save_state(state, tmp_path / "state.json")
+        text = (tmp_path / "state.json").read_bytes().decode()
+        assert text == dumped.getvalue() == expected.get(state, text)
 
 
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
