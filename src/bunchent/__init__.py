@@ -7,72 +7,32 @@ state feeds the standard two-qubit measures, concurrence and entanglement
 of formation.
 """
 
-from .errors import BunchentError, CapacityError, FileFormatError, InvariantError
-from .states import (
-    DensityMatrix,
-    StateVector,
-    bell_w_state,
-    capacity_caps,
-    densify,
-    embedded_bell,
-    entanglement_molecule,
-    ghz,
-    ket_basis,
-    load_state,
-    mix,
-    normalize,
-    save_state,
-    state_defects,
-    tensor,
-)
+from importlib import import_module
+
+from . import errors, states  # loaded with the package; bunching and measures wait for a name of theirs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BunchPartition",
-    "BunchReduction",
-    "BunchentError",
-    "CapacityError",
-    "DensityMatrix",
-    "EntanglementReport",
-    "FileFormatError",
-    "InvariantError",
-    "PatternPair",
-    "ReductionComponent",
-    "StateVector",
-    "bell_w_state",
-    "binary_entropy",
-    "bunch_reduce",
-    "capacity_caps",
-    "concurrence",
-    "densify",
-    "embedded_bell",
-    "entanglement_molecule",
-    "enumerate_partitions",
-    "enumerate_patterns",
-    "eof",
-    "eof_bunches",
-    "ghz",
-    "ket_basis",
-    "load_state",
-    "mix",
-    "normalize",
-    "partial_trace",
-    "reduction_report",
-    "save_state",
-    "state_defects",
-    "survey",
-    "survey_csv",
-    "tensor",
-    "tripartite_triple",
-]
+# each public name once, under the submodule that defines it
+_NAMES = {
+    "errors": ("BunchentError", "CapacityError", "FileFormatError", "InvariantError"),
+    "states": ("DensityMatrix", "StateVector", "bell_w_state", "capacity_caps", "densify", "embedded_bell",
+               "entanglement_molecule", "ghz", "ket_basis", "load_state", "mix", "normalize", "save_state",
+               "state_defects", "tensor"),
+    "bunching": ("BunchPartition", "BunchReduction", "PatternPair", "ReductionComponent", "bunch_reduce",
+                 "enumerate_partitions", "enumerate_patterns", "partial_trace", "reduction_report",
+                 "tripartite_triple"),
+    "measures": ("EntanglementReport", "binary_entropy", "concurrence", "eof", "eof_bunches", "survey",
+                 "survey_csv"),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_HOME)
 
 
-def __getattr__(name: str):  # bunching and measures load on first use of a name of theirs (PEP 562)
-    if name not in __all__:
+def __getattr__(name: str):  # a public name loads only its own submodule, on first use (PEP 562)
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import bunching, measures
-    value = globals()[name] = getattr(bunching if hasattr(bunching, name) else measures, name)
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
     return value
 
 

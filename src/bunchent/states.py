@@ -58,14 +58,20 @@ def _freeze(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _check_cap(kind: str, n_qubits: int) -> None:
-    """Refuse a qubit count that is no positive int, or above its kind's cap, before allocating."""
-    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
+def _check_cap(kind: str, n_qubits: int) -> int:
+    """Return a qubit count as a plain int, refusing one that is no positive integer (a numpy
+    integer passes, a bool or float does not), or above its kind's cap, before allocating."""
+    try:
+        count = operator.index(n_qubits)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(n_qubits, bool):
         raise ValueError(f"n_qubits must be a positive integer, got {n_qubits!r}")
     mixed_cap, pure_cap = capacity_caps()
     cap, noun = (pure_cap, "pure state") if kind == "pure" else (mixed_cap, "density matrix")
-    if n_qubits > cap:
-        raise CapacityError(f"{noun} on {n_qubits} qubits exceeds the dense cap of {cap}")
+    if count > cap:
+        raise CapacityError(f"{noun} on {count} qubits exceeds the dense cap of {cap}")
+    return count
 
 
 def state_defects(kind: str, array) -> list[tuple[str, float, bool, str]]:
@@ -138,7 +144,7 @@ class StateVector(_Record):
     __match_args__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
-        _check_cap("pure", n_qubits)
+        n_qubits = _check_cap("pure", n_qubits)
         amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
         if amps.size != 2 ** n_qubits:
             raise ValueError(f"amplitude vector has length {amps.size}, expected {2 ** n_qubits}")
@@ -152,7 +158,7 @@ class DensityMatrix(_Record):
     __match_args__ = ("n_qubits", "entries")
 
     def __init__(self, n_qubits: int, entries: np.ndarray) -> None:
-        _check_cap("mixed", n_qubits)
+        n_qubits = _check_cap("mixed", n_qubits)
         mat = np.array(entries, dtype=np.complex128)
         d = 2 ** n_qubits
         if mat.shape != (d, d):
@@ -186,7 +192,7 @@ def ket_basis(n_qubits: int, bits: Sequence[int]) -> StateVector:
     bits = tuple(map(operator.index, bits))
     if len(bits) != n_qubits:
         raise ValueError(f"got {len(bits)} bits for {n_qubits} qubits")
-    _check_cap("pure", n_qubits)
+    n_qubits = _check_cap("pure", n_qubits)
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"bits must be 0 or 1, got {bits}")
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
@@ -205,7 +211,7 @@ def ghz(n_qubits: int) -> StateVector:
     """(|00...0> + |11...1>) / sqrt(2) on n_qubits >= 2 qubits."""
     if n_qubits < 2:
         raise ValueError(f"ghz needs at least 2 qubits, got {n_qubits}")
-    _check_cap("pure", n_qubits)
+    n_qubits = _check_cap("pure", n_qubits)
     amps = np.zeros(2 ** n_qubits, dtype=np.complex128)
     amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
     return _trusted(StateVector, n_qubits=n_qubits, amplitudes=amps)
@@ -237,7 +243,7 @@ def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
         raise ValueError(f"subset {subset} not contained in 1..{m_total}")
     if not (1 <= w < n):
         raise ValueError(f"w must satisfy 1 <= w < {n}, got {w}")
-    _check_cap("pure", m_total)
+    m_total = _check_cap("pure", m_total)
     amps = np.zeros(2 ** m_total, dtype=np.complex128)
     for flip in (0, 1):
         index = sum(((k >= w) ^ flip) << (m_total - lab) for k, lab in enumerate(subset))
@@ -279,7 +285,7 @@ def entanglement_molecule(
     """
     if not weights:
         raise ValueError("molecule needs at least one subset")
-    _check_cap("mixed", m_total)
+    m_total = _check_cap("mixed", m_total)
     terms = []
     seen: set[tuple[int, ...]] = set()
     for subset, weight in weights.items():

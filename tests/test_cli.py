@@ -443,6 +443,12 @@ def test_molecule_weights_validation(capsys):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("weights", ["[]", '[{"1-2-3": 1.0}]', "1.0", '"1-2-3"', "null"])
+def test_molecule_weights_must_be_an_object(weights, capsys):
+    assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", weights]) == 2
+    assert capsys.readouterr() == ("", "error: --weights must be a JSON object\n")
+
+
 def test_uniform_molecule_meets_cap_and_size_before_listing(capsys):
     # C(22, 11) = 705,432 subsets, about 200 MB of tuples, are never listed
     tracemalloc.start()

@@ -1,8 +1,10 @@
 """The package namespace and its record classes.
 
-`bunchent` imports `errors` and `states` eagerly and resolves the names of
-`bunching` and `measures` on first use. The seven record classes are
-plain classes, not dataclasses: each test below pins a behaviour the
+`bunchent` imports `errors` and `states` eagerly. Every public name is
+listed once, under the submodule that defines it, and resolves on first
+use by loading only that submodule: `from bunchent import BunchPartition`
+loads `bunching` but not `measures`. The seven record classes are plain
+classes, not dataclasses: each test below pins a behaviour the
 dataclasses had.
 """
 
@@ -51,6 +53,15 @@ def test_reading_a_state_loads_neither_bunching_nor_measures():
 def test_the_cli_loads_no_dataclasses():
     code = "import bunchent.cli\n" + _LOADED % (_HEAVY,)
     assert _fresh(code) == {"bunchent.bunching": True, "bunchent.measures": True, "dataclasses": False}
+
+
+@pytest.mark.parametrize("name, loaded", [
+    ("BunchPartition", {"bunchent.bunching": True, "bunchent.measures": False}),
+    ("CapacityError", {"bunchent.bunching": False, "bunchent.measures": False}),
+])
+def test_a_lazy_name_loads_only_its_own_submodule(name, loaded):
+    code = f"from bunchent import {name}\n" + _LOADED % (tuple(loaded),)
+    assert _fresh(code) == loaded
 
 
 def test_every_public_name_resolves_to_its_submodule_object():

@@ -224,6 +224,38 @@ def test_bool_qubit_count_rejected(build):
 @pytest.mark.parametrize(
     "build",
     [
+        lambda n: StateVector(n, np.eye(8)[5]),
+        lambda n: DensityMatrix(n, np.eye(8) / 8.0),
+        lambda n: ket_basis(n, [1, 0, 1]),
+        lambda n: ghz(n),
+        lambda n: bell_w_state(n, 1),
+        lambda n: embedded_bell(n, (1, 3), 1),
+    ],
+    ids=["StateVector", "DensityMatrix", "ket_basis", "ghz", "bell_w_state", "embedded_bell"],
+)
+def test_numpy_integer_qubit_count_is_stored_as_int(build, tmp_path):
+    # a count passes as labels and bunch caps do, through operator.index
+    state, expected = build(np.int64(3)), build(3)
+    assert type(state) is type(expected) and type(state.n_qubits) is int and state.n_qubits == 3
+    field = "amplitudes" if isinstance(state, StateVector) else "entries"
+    np.testing.assert_array_equal(getattr(state, field), getattr(expected, field))
+    save_state(state, tmp_path / "state.json")  # json refuses an np.int64
+    save_state(expected, tmp_path / "expected.json")
+    assert (tmp_path / "state.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_float_qubit_counts_keep_their_messages():
+    with pytest.raises(ValueError, match=r"^n_qubits must be a positive integer, got 3\.0$"):
+        ghz(3.0)
+    with pytest.raises(ValueError, match="^ghz needs at least 2 qubits, got True$"):
+        ghz(True)
+    with pytest.raises(ValueError, match=r"^n_qubits must be a positive integer, got 2\.0$"):
+        StateVector(2.0, np.eye(4)[0])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
         lambda: ket_basis(3, [1, 0, 1]),
         lambda: ghz(4),
         lambda: embedded_bell(5, (2, 4), 1),
@@ -490,6 +522,17 @@ def test_state_file_round_trip_mixed(tmp_path, rng):
     back = load_state(path)
     assert isinstance(back, DensityMatrix)
     assert np.allclose(back.entries, rho.entries)
+
+
+@pytest.mark.parametrize("obj", [np.eye(2) / 2.0, {"kind": "pure"}, BunchPartition((1,), (2,))],
+                         ids=["ndarray", "dict", "BunchPartition"])
+def test_only_states_serialize(obj, tmp_path):
+    name = type(obj).__name__
+    with pytest.raises(ValueError, match=f"^cannot serialize object of type {name}$"):
+        states.state_payload(obj)
+    with pytest.raises(ValueError, match=f"^cannot serialize object of type {name}$"):
+        save_state(obj, tmp_path / "state.json")
+    assert not (tmp_path / "state.json").exists()
 
 
 def test_save_state_writes_the_json_dump_text(tmp_path, rng):
