@@ -41,9 +41,9 @@ def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, BunchPartition]:
-    """The state and bunch pair of `reduce` and `eof`: labels parsed, file loaded, pair checked."""
-    labels = _parse_labels(args.a, "--a"), _parse_labels(args.b, "--b")
-    return load_state(args.state), BunchPartition(*labels)
+    """The state and bunch pair of `reduce` and `eof`: labels parsed, pair checked, file loaded."""
+    pair = BunchPartition(_parse_labels(args.a, "--a"), _parse_labels(args.b, "--b"))
+    return load_state(args.state), pair
 
 
 @contextmanager

@@ -221,10 +221,10 @@ def bell_w_state(n_qubits: int, w: int) -> StateVector:
     """Two-branch state (|0..0 1..1> + |1..1 0..0>) / sqrt(2).
 
     The first branch has w leading zeros; the second is its bitwise
-    complement. Requires 1 <= w < n_qubits; it is :func:`embedded_bell`
-    over every qubit, which validates n_qubits and w and checks the cap.
+    complement. Requires 1 <= w < n_qubits. The count meets its cap before
+    its labels are listed; then it is :func:`embedded_bell` over every qubit.
     """
-    return embedded_bell(n_qubits, range(1, n_qubits + 1), w)
+    return embedded_bell(n_qubits, range(1, _check_cap("pure", n_qubits) + 1), w)
 
 
 def embedded_bell(m_total: int, subset: Sequence[int], w: int) -> StateVector:
@@ -334,7 +334,8 @@ def _no_integer(token: str):
 
 def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
     """The (kind, n_qubits, [re, im] float64 array) of a file in save_state's exact layout, read in
-    64 KiB pieces without nested lists; None or ValueError for any file it cannot vouch for.
+    64 KiB pieces without nested lists; None or ValueError for any file it cannot vouch for, and
+    CapacityError for a head that declares more qubits than its kind's cap, before the body is read.
 
     Each piece ends after a "], ". Its skeleton (the piece less its number characters) must be the
     expected one at the same offset. Less its digits, it may show no empty slot ("[," or " ]"): a
@@ -347,9 +348,8 @@ def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
         head = _LAYOUT_HEAD.match(text)
         if head is None or (head[1] == b"pure") != (head[3] == b"amplitudes"):
             return None
-        kind, n_qubits = head[1].decode(), int(head[2])
-        if n_qubits > capacity_caps()[kind == "pure"]:
-            return None  # the json path parses first, then meets the cap
+        kind = head[1].decode()
+        n_qubits = _check_cap(kind, int(head[2]))  # the declared count, before any byte of the body
         d = 2 ** n_qubits
         skeleton = b"[" + b", ".join([b"[, ]"] * d) + b"]"
         if kind == "mixed":
@@ -376,18 +376,18 @@ def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
 
 
 def read_state_file(path) -> tuple[str, int, np.ndarray]:
-    """Parse a state file without enforcing state invariants.
+    """Parse a state file without enforcing state invariants (:func:`state_defects` holds them).
 
-    Returns (kind, n_qubits, array) where the array is the amplitude
-    vector or the density matrix, of dimension 2**n_qubits. Structural problems
-    raise FileFormatError, and a state above its kind's qubit cap CapacityError
-    before its array is built; :func:`state_defects` holds the invariants.
-    A file in save_state's layout is read in pieces; any other goes through
-    json.load, and both give the same floats.
+    Returns (kind, n_qubits, array), the amplitude vector or density matrix of dimension 2**n_qubits.
+    A bad BUNCHENT_MAX_QUBITS raises ValueError before the file is opened. A file with save_state's
+    head meets its cap (CapacityError) from the count it declares, before its body is read in pieces;
+    any other goes through json.load and meets it from the larger of the declared and implied counts,
+    before its array is built. Structural problems raise FileFormatError; both give the same floats.
     """
+    capacity_caps()  # a bad BUNCHENT_MAX_QUBITS raises here, before the file is opened
     try:
         parsed = _read_layout(path)
-    except ValueError:  # JSON's number grammar, an integer entry, or a bad BUNCHENT_MAX_QUBITS
+    except ValueError:  # JSON's number grammar or an integer entry in the body
         parsed = None
     kind, n_qubits, raw = parsed or _read_json(path)
     return kind, n_qubits, raw[..., 0] + 1j * raw[..., 1]

@@ -1,14 +1,16 @@
 """End-to-end command tests, run in process through cli.main."""
 
+import io
 import json
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bunchent import densify, ghz, load_state, save_state
@@ -243,6 +245,20 @@ def test_exit_code_usage_error(ghz3, capsys):
     assert err.count("\n") == 1
 
 
+def test_usage_errors_come_before_the_file(tmp_path, monkeypatch, capsys):
+    # a bad bunch pair or BUNCHENT_MAX_QUBITS exits 2 even when the file is missing
+    # or malformed; the file is not opened, where it once exited 5
+    garbled = tmp_path / "garbled.json"
+    garbled.write_text('{"kind": "pure", "amplitudes": [[1.0, 0.0], [0.0')
+    for path in (tmp_path / "missing.json", garbled):
+        assert main(["eof", str(path), "--a", "1", "--b", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: bunches must not share or repeat labels: (1,) and (1,)\n")
+        monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "abc")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: BUNCHENT_MAX_QUBITS must be an integer, got 'abc'\n")
+        monkeypatch.delenv("BUNCHENT_MAX_QUBITS")
+
+
 def test_survey_rejects_zero_jobs(ghz3, capsys):
     assert main(["survey", ghz3, "--jobs", "0"]) == 2
     err = capsys.readouterr().err
@@ -391,6 +407,14 @@ def test_exit_code_file_problems(tmp_path, capsys):
             assert err.startswith(f"error: {path}: not valid JSON (")
             assert err.count("\n") == 1
 
+    # save_state's head over the cap: refused from the head, with the body never
+    # read, where json.load would have met the truncated body first (exit 5)
+    path = tmp_path / "over-cap.json"
+    path.write_text('{"kind": "mixed", "n_qubits": 11, "matrix": [[[0.1, ')
+    with mock.patch.object(states, "_read_json", side_effect=AssertionError("json path")):
+        assert main(["check", str(path)]) == 3
+    assert capsys.readouterr() == ("", "error: density matrix on 11 qubits exceeds the dense cap of 10\n")
+
     # save_state's layout with one fault each: the piecewise reader hands every
     # such file to json.load, so check exits and prints as without that reader
     valid = tmp_path / "valid.json"
@@ -407,7 +431,6 @@ def test_exit_code_file_problems(tmp_path, capsys):
         "ragged row": text.replace("[%s], " % text.split("], [", 2)[1], "", 1),
         "extra pair": text.replace("]], [[", "], [0.0, 0.0]], [[", 1),
         "n_qubits one too small": text.replace('"n_qubits": 2', '"n_qubits": 1'),
-        "over the cap, truncated": '{"kind": "mixed", "n_qubits": 11, "matrix": [[[0.1, ',
         "no final newline": text[:-1],
     })
     with mock.patch.object(states, "_read_json", side_effect=AssertionError("json path")):
@@ -422,6 +445,64 @@ def test_exit_code_file_problems(tmp_path, capsys):
         assert json_path.call_count == 1, name
         with mock.patch.object(states, "_read_layout", return_value=None):
             assert (main(["check", str(path)]), *capsys.readouterr()) == (code, out, err), name
+
+
+@pytest.fixture(scope="module")
+def saved_texts(tmp_path_factory):
+    """A folder for edited files, and the bytes save_state writes for a mixed-2 and a pure-3 state."""
+    folder = tmp_path_factory.mktemp("edits")
+    rng = np.random.default_rng(5)
+    for name, state in (("mixed", random_mixed(rng, 2)), ("pure", random_pure(rng, 3))):
+        save_state(state, folder / f"{name}.json")
+    return folder, {name: (folder / f"{name}.json").read_bytes() for name in ("mixed", "pure")}
+
+
+def _check_bytes(path):
+    """main(["check", path]) as (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["check", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+_EDIT_BYTES = b'0123456789.-+eE[], {}"x'
+
+
+@given(
+    kind=st.sampled_from(["mixed", "pure"]),
+    edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2**16),
+                             st.sampled_from(_EDIT_BYTES)), min_size=1, max_size=3),
+)
+@example(kind="mixed", edits=[("insert", 31, ord("9"))])  # "n_qubits": 29, over the mixed cap
+@example(kind="pure", edits=[("insert", 30, ord("7"))])  # "n_qubits": 37, over the pure cap
+@example(kind="mixed", edits=[("replace", 30, ord("9"))])  # "n_qubits": 9, under the cap
+def test_check_agrees_across_readers_on_edited_files(saved_texts, kind, edits):
+    # one to three byte edits to a saved file: check prints and exits the same with
+    # the piecewise reader live and with every file sent to json.load, except that
+    # a head declaring more qubits than its kind's cap exits 3 from the head alone
+    folder, texts = saved_texts
+    text = bytearray(texts[kind])
+    for op, at, byte in edits:
+        at %= len(text) + (op == "insert")
+        if op == "replace":
+            text[at] = byte
+        elif op == "insert":
+            text.insert(at, byte)
+        else:
+            del text[at]
+    path = folder / "edited.json"
+    path.write_bytes(text)
+    live = _check_bytes(path)
+    head = states._LAYOUT_HEAD.match(text)
+    if head and (head[1] == b"pure") == (head[3] == b"amplitudes"):
+        noun, cap = ("pure state", states.MAX_PURE_QUBITS) if head[1] == b"pure" else (
+            "density matrix", states.MAX_MIXED_QUBITS)
+        if int(head[2]) > cap:
+            message = f"error: {noun} on {int(head[2])} qubits exceeds the dense cap of {cap}\n"
+            assert live == (3, "", message)
+            return
+    with mock.patch.object(states, "_read_layout", return_value=None):
+        assert _check_bytes(path) == live
 
 
 def test_molecule_weights_validation(capsys):

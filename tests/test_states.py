@@ -251,6 +251,8 @@ def test_float_qubit_counts_keep_their_messages():
         ghz(True)
     with pytest.raises(ValueError, match=r"^n_qubits must be a positive integer, got 2\.0$"):
         StateVector(2.0, np.eye(4)[0])
+    with pytest.raises(ValueError, match=r"^n_qubits must be a positive integer, got 3\.0$"):
+        bell_w_state(3.0, 1)
 
 
 @pytest.mark.parametrize(
@@ -656,6 +658,40 @@ def test_read_state_file_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert (kind, n, array.shape) == ("mixed", 9, (512, 512))
     assert peak < 4 * array.nbytes
+
+
+def test_read_state_file_meets_the_cap_from_the_head(tmp_path, monkeypatch):
+    # a head over its kind's cap raises _check_cap's error before any byte of
+    # the body is read; json.load of the mixed 9-qubit file took 48.5 MiB here
+    mixed9, pure3, truncated = tmp_path / "mixed9.json", tmp_path / "pure3.json", tmp_path / "truncated.json"
+    save_state(densify(random_pure(np.random.default_rng(9), 9)), mixed9)
+    save_state(random_pure(np.random.default_rng(3), 3), pure3)
+    truncated.write_text('{"kind": "mixed", "n_qubits": 11, "matrix": [[[0.1, ')
+    cases = [
+        ("8", mixed9, "density matrix on 9 qubits exceeds the dense cap of 8"),
+        ("2", pure3, "pure state on 3 qubits exceeds the dense cap of 2"),
+        (None, truncated, "density matrix on 11 qubits exceeds the dense cap of 10"),
+    ]
+    for cap, path, message in cases:
+        if cap is None:
+            monkeypatch.delenv("BUNCHENT_MAX_QUBITS", raising=False)
+        else:
+            monkeypatch.setenv("BUNCHENT_MAX_QUBITS", cap)
+        tracemalloc.start()
+        try:
+            with mock.patch.object(states, "_read_json", side_effect=AssertionError("json path")), \
+                    pytest.raises(CapacityError, match=f"^{message}$"):
+                read_state_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, path.name
+
+
+def test_read_state_file_reads_the_caps_before_the_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "abc")
+    with pytest.raises(ValueError, match="^BUNCHENT_MAX_QUBITS must be an integer, got 'abc'$"):
+        read_state_file(tmp_path / "missing.json")
 
 
 def test_read_state_file_infers_qubit_count(tmp_path):
