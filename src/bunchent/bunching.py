@@ -12,11 +12,9 @@ the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, a sum of the bit weights
 2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row
-and column weights: it sums each group's rows in one order, within
-_GATHER_ENTRIES = 2^15 entries (512 KiB) or one K x K row if that is
-more (only a partial_trace onto k >= 8 qubits, K = 2^k; eof, reduce and
-survey gather K <= 2^7), and reads a pure state's amplitudes
-undensified. partial_trace, the first stage, gathers the outsiders' rows
+and column weights: it sums each group's rows in one order into one
+result, in blocks of at most _GATHER_ENTRIES = 2^15 entries (512 KiB) at
+any qubit count, and reads a pure state's amplitudes undensified. partial_trace, the first stage, gathers the outsiders' rows
 against the kept qubits' columns. _split_blocks, the one entry for a
 list of splits (bunch_reduce, and measures' eof_bunches and survey),
 checks every split's labels, then runs its tasks, keyed by route and
@@ -162,34 +160,35 @@ def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, 
     the outer product of their amplitudes for a pure state or the block of
     rho between them.
 
-    A gather holds at most _GATHER_ENTRIES term entries or one K x K row:
-    it takes as many whole groups as fit, or one group in blocks of rows,
-    each block adding the running sum into its first row so that the sums
-    keep their order. A row of K >= 2^8 (partial_trace onto 8 or more
-    qubits) sits beside its running sum, about three times the result."""
+    A gather holds at most _GATHER_ENTRIES term entries, at every K: it
+    takes whole groups, row offsets and term rows while they fit, and sums
+    each block into its slab of one result, allocated once, a block after
+    the first adding the slab's running sum into its first row so that
+    every sum keeps its row order."""
     rows, columns = np.array(rows, dtype=np.int64), np.array(columns, dtype=np.int64)
     outer = (rows @ _row_bits(rows.shape[1])).reshape(len(rows) << groups, -1)
     inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)
     (count, length), width = outer.shape, inner.shape[1]
-    groups = max(1, min(count, _GATHER_ENTRIES // (length * width * width)))
-    step = max(1, _GATHER_ENTRIES // (groups * width * width))
-    sums = []
-    for g in range(0, count, groups):
-        for lo in range(0, length, step):
-            table = outer[g:g + groups, lo:lo + step, None] ^ inner[g:g + groups, None, :]
-            if isinstance(state, StateVector):
-                amp = state.amplitudes[table]
-                terms = amp[..., :, None] * amp.conj()[..., None, :]
-            else:
-                terms = state.entries[table[..., :, None], table[..., None, :]]
-            # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
-            terms = np.ascontiguousarray(terms)
-            if lo:  # carry the sum of the rows before this block
-                terms[:, 0] += total
-            total = terms.sum(axis=1)
-            del terms  # one block alive at a time: the next one is gathered without it
-        sums.append(total)
-    return np.concatenate(sums) if len(sums) > 1 else total
+    cols = max(1, min(width, _GATHER_ENTRIES // width))  # term rows per block: all of them up to K = 2^7
+    groups = max(1, min(count, _GATHER_ENTRIES // (length * width * cols)))
+    step = max(1, _GATHER_ENTRIES // (groups * width * cols))
+    for g, lo, c in product(range(0, count, groups), range(0, length, step), range(0, width, cols)):
+        table = outer[g:g + groups, lo:lo + step, None] ^ inner[g:g + groups, None, :]
+        if isinstance(state, StateVector):
+            amp = state.amplitudes[table]
+            terms = amp[..., c:c + cols, None] * amp.conj()[..., None, :]
+        else:
+            terms = state.entries[table[..., c:c + cols, None], table[..., None, :]]
+        # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
+        terms = np.ascontiguousarray(terms)
+        if not (g or lo or c):  # after the first block, as a whole sum was: glibc then leaves a survey's heap untrimmed
+            sums = np.empty((count, width, width), dtype=complex)
+        slab = sums[g:g + groups, c:c + cols]  # C-contiguous: one group when cols < K
+        if lo:  # carry the sum of the rows before this block
+            terms[:, 0] += slab
+        terms.sum(axis=1, out=slab)
+        del terms  # one block alive at a time: the next one is gathered without it
+    return sums
 
 
 def partial_trace(state: StateVector | DensityMatrix, keep: Sequence[int]) -> DensityMatrix:

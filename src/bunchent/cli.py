@@ -22,6 +22,7 @@ from .states import (
     DensityMatrix,
     StateVector,
     _check_cap,
+    _state_text,
     bell_w_state,
     embedded_bell,
     entanglement_molecule,
@@ -30,7 +31,6 @@ from .states import (
     load_state,
     read_state_file,
     state_defects,
-    state_payload,
 )
 
 def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
@@ -73,7 +73,7 @@ def _output(path: str):
 
 def _cmd_build(args: argparse.Namespace) -> None:
     with _output(args.out) as write:
-        write(json.dumps(state_payload(_built(args))) + "\n")
+        write(_state_text(_built(args)))
 
 
 def _built(args: argparse.Namespace) -> StateVector | DensityMatrix:

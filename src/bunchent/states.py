@@ -11,6 +11,7 @@ the BUNCHENT_MAX_QUBITS environment variable sets both caps to one value.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import operator
@@ -314,9 +315,14 @@ def state_payload(state: StateVector | DensityMatrix) -> dict:
     return {"kind": kind, "n_qubits": state.n_qubits, field: pairs}
 
 
+def _state_text(state: StateVector | DensityMatrix) -> str:
+    """The text of a state file, in the one layout _read_layout reads in pieces."""
+    return json.dumps(state_payload(state)) + "\n"  # one string: json.dump feeds many small chunks
+
+
 def save_state(state: StateVector | DensityMatrix, path) -> None:
     """Write a state to a JSON file."""
-    text = json.dumps(state_payload(state)) + "\n"  # one write: json.dump feeds many small chunks
+    text = _state_text(state)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -332,10 +338,12 @@ def _no_integer(token: str):
     raise ValueError(f"integer entry {token}")  # the json path gives integers their own dtype
 
 
-def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
-    """The (kind, n_qubits, [re, im] float64 array) of a file in save_state's exact layout, read in
-    64 KiB pieces without nested lists; None or ValueError for any file it cannot vouch for, and
-    CapacityError for a head that declares more qubits than its kind's cap, before the body is read.
+def _read_layout(fh) -> tuple[str, int, np.ndarray] | None:
+    """The (kind, n_qubits, [re, im] float64 array) of a seekable binary input in save_state's exact
+    layout, read in 64 KiB pieces without nested lists; None or ValueError for any input it cannot
+    vouch for, and CapacityError for a head that declares more qubits than its kind's cap, before the
+    body is read. An input shorter than its head's count of entries needs ("[0.0, 0.0]" each) is
+    None before anything is built from that count.
 
     Each piece ends after a "], ". Its skeleton (the piece less its number characters) must be the
     expected one at the same offset. Less its digits, it may show no empty slot ("[," or " ]"): a
@@ -343,33 +351,36 @@ def _read_layout(path) -> tuple[str, int, np.ndarray] | None:
     deleted, so that no two numbers join, it must parse by JSON's grammar as floats. Then every
     number is a JSON float in its own slot.
     """
-    with open(path, "rb") as fh:
-        text = fh.read(_PIECE_BYTES)
-        head = _LAYOUT_HEAD.match(text)
-        if head is None or (head[1] == b"pure") != (head[3] == b"amplitudes"):
+    size = fh.seek(0, io.SEEK_END)
+    fh.seek(0)
+    text = fh.read(_PIECE_BYTES)
+    head = _LAYOUT_HEAD.match(text)
+    if head is None or (head[1] == b"pure") != (head[3] == b"amplitudes"):
+        return None
+    kind = head[1].decode()
+    n_qubits = _check_cap(kind, int(head[2]))  # the declared count, before any byte of the body
+    d = 2 ** n_qubits
+    if size < head.end() + len(b"[0.0, 0.0]") * d ** (2 if kind == "mixed" else 1):
+        return None
+    skeleton = b"[" + b", ".join([b"[, ]"] * d) + b"]"
+    if kind == "mixed":
+        skeleton = b"[" + b", ".join([skeleton] * d) + b"]"
+    raw = np.empty((d, d, 2) if kind == "mixed" else (d, 2))
+    flat, done, at, text, more = raw.reshape(-1), 0, 0, text[head.end():], True
+    while more:
+        more = fh.read(_PIECE_BYTES)
+        text += more
+        cut = text.rfind(b"], ") + 3 if more else len(text) - 2  # the last piece ends before "}\n"
+        piece, text = text[:cut], text[cut:]
+        lean = piece.translate(None, b"0123456789")  # a float keeps a "." or an "e"
+        bare = lean.translate(None, _NUMBER_BYTES)
+        if (cut < 3 or skeleton[at:at + len(bare)] != bare or b"[," in lean or b" ]" in lean
+                or not (more or text == b"}\n")):
             return None
-        kind = head[1].decode()
-        n_qubits = _check_cap(kind, int(head[2]))  # the declared count, before any byte of the body
-        d = 2 ** n_qubits
-        skeleton = b"[" + b", ".join([b"[, ]"] * d) + b"]"
-        if kind == "mixed":
-            skeleton = b"[" + b", ".join([skeleton] * d) + b"]"
-        raw = np.empty((d, d, 2) if kind == "mixed" else (d, 2))
-        flat, done, at, text, more = raw.reshape(-1), 0, 0, text[head.end():], True
-        while more:
-            more = fh.read(_PIECE_BYTES)
-            text += more
-            cut = text.rfind(b"], ") + 3 if more else len(text) - 2  # the last piece ends before "}\n"
-            piece, text = text[:cut], text[cut:]
-            lean = piece.translate(None, b"0123456789")  # a float keeps a "." or an "e"
-            bare = lean.translate(None, _NUMBER_BYTES)
-            if (cut < 3 or skeleton[at:at + len(bare)] != bare or b"[," in lean or b" ]" in lean
-                    or not (more or text == b"}\n")):
-                return None
-            blanked = piece.translate(_BRACKETS_AS_SPACES).rstrip(b", ")
-            values = json.loads(b"[%s]" % blanked, parse_int=_no_integer)
-            flat[done:done + len(values)] = values
-            at, done = at + len(bare), done + len(values)
+        blanked = piece.translate(_BRACKETS_AS_SPACES).rstrip(b", ")
+        values = json.loads(b"[%s]" % blanked, parse_int=_no_integer)
+        flat[done:done + len(values)] = values
+        at, done = at + len(bare), done + len(values)
     if at != len(skeleton) or done != flat.size or not np.isfinite(flat).all():
         return None
     return kind, n_qubits, raw
@@ -379,27 +390,33 @@ def read_state_file(path) -> tuple[str, int, np.ndarray]:
     """Parse a state file without enforcing state invariants (:func:`state_defects` holds them).
 
     Returns (kind, n_qubits, array), the amplitude vector or density matrix of dimension 2**n_qubits.
-    A bad BUNCHENT_MAX_QUBITS raises ValueError before the file is opened. A file with save_state's
-    head meets its cap (CapacityError) from the count it declares, before its body is read in pieces;
-    any other goes through json.load and meets it from the larger of the declared and implied counts,
-    before its array is built. Structural problems raise FileFormatError; both give the same floats.
+    A bad BUNCHENT_MAX_QUBITS raises ValueError before the file is opened. The file is opened once;
+    an input that cannot seek, such as a pipe, is read into memory first, and both readers read the
+    one handle. A file with save_state's head meets its cap (CapacityError) from the count it
+    declares, before its body is read in pieces, and one too short for that count goes no further;
+    any other goes through json.load and meets it from the larger of the declared and implied
+    counts, before its array is built. Structural problems raise FileFormatError; both give the
+    same floats.
     """
     capacity_caps()  # a bad BUNCHENT_MAX_QUBITS raises here, before the file is opened
-    try:
-        parsed = _read_layout(path)
-    except ValueError:  # JSON's number grammar or an integer entry in the body
-        parsed = None
-    kind, n_qubits, raw = parsed or _read_json(path)
+    with open(path, "rb") as opened:
+        fh = opened if opened.seekable() else io.BytesIO(opened.read())
+        try:
+            parsed = _read_layout(fh)
+        except ValueError:  # JSON's number grammar or an integer entry in the body
+            parsed = None
+        kind, n_qubits, raw = parsed or _read_json(fh, path)
     return kind, n_qubits, raw[..., 0] + 1j * raw[..., 1]
 
 
-def _read_json(path) -> tuple[str, int, np.ndarray]:
-    """read_state_file for any JSON layout, through json.load; the array is [re, im] float64."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # bad JSON or bytes, too many digits, too deep
-            raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
+def _read_json(fh, path) -> tuple[str, int, np.ndarray]:
+    """read_state_file for any JSON layout, through json.load of the binary input `fh` from its
+    start, read as UTF-8 text; `path` names it in messages. The array is [re, im] float64."""
+    fh.seek(0)
+    try:
+        payload = json.load(io.TextIOWrapper(fh, encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or bytes, too many digits, too deep
+        raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     kind = payload.get("kind")

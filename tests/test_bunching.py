@@ -295,6 +295,51 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         assert np.array_equal(bits(np.array(reports[k].etas)), bits(_pattern_weights(blocks)))
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(2, 6),
+    outsiders=st.integers(0, 3),
+    pure=st.booleans(),
+    zeros=st.booleans(),
+    share=st.floats(0, 1, exclude_max=True),
+    split_budget=st.integers(1, 15),
+)
+@example(seed=0, k=6, outsiders=2, pure=False, zeros=False, share=0.25, split_budget=1)  # K = 64: 4 blocks a row
+@example(seed=0, k=6, outsiders=0, pure=True, zeros=True, share=0.0, split_budget=4)  # K = 64: 64 blocks
+def test_blocks_of_term_rows_keep_the_bits(seed, k, outsiders, pure, zeros, share, split_budget):
+    # a budget below K^2 splits every K x K term into blocks of its rows
+    # (K = 2^k for partial_trace, which gets `share` of K^2 entries; K = 4
+    # for a split's patterns, which get `split_budget`); each block
+    # carries the running sum into its first row, so partial_trace and every
+    # split's blocks keep the unsplit bits and the one-term-at-a-time order,
+    # -0.0 against 0.0 included
+    rng = np.random.default_rng(seed)
+    n = k + outsiders
+    if zeros:
+        state = sparse_state(rng, n, pure)
+    else:
+        state = random_pure(rng, n) if pure else random_mixed(rng, n)
+    keep = sorted(int(x) + 1 for x in rng.permutation(n)[:k])
+    splits = [random_split(rng, n) for _ in range(3)]
+    traced_budget = 1 + int(share * (4 ** k - 1))  # 1 .. K^2 - 1
+
+    def bits(x):
+        return np.ascontiguousarray(x).view(np.int64)
+
+    want = partial_trace(state, keep).entries
+    with mock.patch.object(bunching, "_GATHER_ENTRIES", traced_budget):
+        assert np.array_equal(bits(partial_trace(state, keep).entries), bits(want))
+    unsplit = [next(_split_blocks(state, [part]))[1][0] for part in splits]
+    with mock.patch.object(bunching, "_GATHER_ENTRIES", split_budget):
+        batch = [None] * len(splits)
+        for members, blocks, _ in _split_blocks(state, splits):
+            for m, split_blocks in zip(members, blocks):
+                batch[m] = split_blocks
+    for part, got, whole in zip(splits, batch, unsplit):
+        assert np.array_equal(bits(got), bits(whole))
+        assert np.array_equal(bits(got), bits(ordered_reduction(state, part)[0]))
+
+
 def test_singleton_pair_equals_partial_trace(rng):
     rho = random_mixed(rng, 4)
     red = bunch_reduce(rho, BunchPartition((2,), (4,)))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bunchent import densify, ghz, load_state, save_state
+from bunchent import densify, entanglement_molecule, ghz, load_state, save_state
 from bunchent import measures, states
 from bunchent.cli import _EXIT_CODES, main
 from bunchent.errors import CapacityError, FileFormatError, InvariantError
@@ -613,6 +614,38 @@ def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
         assert old.read_bytes() == b"kept\n"
     assert main(["build", "ghz", "--n", "2", "--out", str(old)]) == 0
     assert json.loads(old.read_text())["n_qubits"] == 2
+
+
+def test_build_writes_the_bytes_save_state_writes(tmp_path):
+    # one text for a state file, in the layout the piecewise reader reads
+    uniform = {subset: 0.25 for subset in combinations(range(1, 5), 3)}
+    cases = [
+        (["ghz", "--n", "3"], ghz(3)),
+        (["molecule", "--m", "4", "--n", "3", "--w", "1", "--uniform"], entanglement_molecule(4, 3, 1, uniform)),
+    ]
+    built, saved = tmp_path / "built.json", tmp_path / "saved.json"
+    for argv, state in cases:
+        assert main(["build", *argv, "--out", str(built)]) == 0
+        save_state(state, saved)
+        assert built.read_bytes() == saved.read_bytes()
+        with open(built, "rb") as fh:
+            assert states._read_layout(fh) is not None
+
+
+def test_check_and_survey_read_a_pipe(tmp_path):
+    # a pipe cannot seek, so it is read once, into memory, and a file that
+    # the piecewise reader cannot vouch for still reaches json.load whole
+    saved, indented = tmp_path / "saved.json", tmp_path / "indented.json"
+    state = random_mixed(np.random.default_rng(3), 3)
+    save_state(state, saved)
+    indented.write_text(json.dumps(states.state_payload(state), indent=1))
+    for path in (saved, indented):
+        for argv in (["check"], ["survey"]):
+            via_file, via_pipe = (subprocess.run(
+                [sys.executable, "-m", "bunchent", *argv, name], input=text, capture_output=True, text=True)
+                for name, text in ((str(path), None), ("/dev/stdin", path.read_text())))
+            assert via_file.returncode == 0 and via_file.stdout
+            assert (via_pipe.returncode, via_pipe.stdout, via_pipe.stderr) == (0, via_file.stdout, via_file.stderr)
 
 
 def test_argparse_rejects_unknown(ghz3):

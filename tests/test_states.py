@@ -6,6 +6,7 @@ The index convention under test: qubit 1 is the most significant bit, so
 
 import io
 import json
+import re
 import tracemalloc
 from itertools import combinations
 from unittest import mock
@@ -447,15 +448,21 @@ def test_partial_trace_reads_a_pure_state_as_its_density_matrix(seed, n, data):
 
 def test_partial_trace_of_a_pure_state_beyond_the_mixed_cap():
     # [3, 11]: 2^14 outsider rows of 4 entries each, gathered in bounded
-    # blocks. 1..8: 2^8 rows of 256 x 256 entries, one row a block beside its
-    # running sum (1 MiB each); all 256 at once would take 256 MiB. A first
-    # call builds the cached row-bit tables, not a gather
+    # blocks. 1..k for k = 8, 9, 10: 2^(16 - k) rows of 2^k x 2^k entries,
+    # each row summed in blocks of its term rows (2^15 entries, 512 KiB)
+    # into the one result (1, 4 and 16 MiB); all rows at once
+    # would take 256 MiB. A mixed 9-qubit state kept whole is one row in
+    # such blocks. A first call builds the cached row-bit tables, not a
+    # gather
     psi = random_pure(np.random.default_rng(16), 16)
-    for keep, bound in (([3, 11], 2 * 2**20), (range(1, 9), 4 * 2**20)):
-        partial_trace(psi, keep)
+    rho = random_mixed(np.random.default_rng(9), 9)
+    for state, keep, bound in ((psi, [3, 11], 2 * 2**20), (psi, range(1, 9), 4 * 2**20),
+                               (psi, range(1, 10), 6 * 2**20), (psi, range(1, 11), 18 * 2**20),
+                               (rho, range(1, 10), 5.5 * 2**20)):
+        partial_trace(state, keep)
         tracemalloc.start()
         try:
-            reduced = partial_trace(psi, keep)
+            reduced = partial_trace(state, keep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -613,6 +620,12 @@ def test_read_state_file_rejections(tmp_path):
             read_state_file(path)
 
 
+def _layout(path):
+    """_read_layout of a file, opened as read_state_file opens it."""
+    with open(path, "rb") as fh:
+        return states._read_layout(fh)
+
+
 @given(seed=st.integers(0, 2**32 - 1), pure=st.booleans(), data=st.data())
 def test_read_state_file_reads_both_layouts_to_the_same_bits(seed, pure, data, tmp_path_factory):
     # save_state's layout takes the piecewise reader; the same payload dumped with
@@ -624,8 +637,8 @@ def test_read_state_file_reads_both_layouts_to_the_same_bits(seed, pure, data, t
     save_state(state, folder / "saved.json")
     with open(folder / "indented.json", "w", encoding="utf-8") as fh:
         json.dump(states.state_payload(state), fh, indent=1)
-    assert states._read_layout(folder / "saved.json") is not None
-    assert states._read_layout(folder / "indented.json") is None
+    assert _layout(folder / "saved.json") is not None
+    assert _layout(folder / "indented.json") is None
     (kind, n_saved, saved), (kind_indented, n_indented, indented) = (
         read_state_file(folder / name) for name in ("saved.json", "indented.json"))
     assert (kind, n_saved) == (kind_indented, n_indented) == ("pure" if pure else "mixed", n)
@@ -637,7 +650,7 @@ def test_read_state_file_keeps_the_json_paths_signed_zeros(tmp_path):
     path = tmp_path / "zeros.json"
     path.write_text(json.dumps({"kind": "mixed", "n_qubits": 1, "matrix": [
         [[0.5, -0.0], [-0.0, -0.0]], [[-0.0, 0.0], [0.5, -0.0]]]}) + "\n")
-    assert states._read_layout(path) is not None
+    assert _layout(path) is not None
     _, _, array = read_state_file(path)
     with mock.patch.object(states, "_read_layout", return_value=None):
         _, _, via_json = read_state_file(path)
@@ -686,6 +699,25 @@ def test_read_state_file_meets_the_cap_from_the_head(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 2**20, path.name
+
+
+def test_read_state_file_builds_nothing_for_a_body_too_short_for_its_head(tmp_path):
+    # a saved mixed-2 file (about 250 bytes) whose head claims 10 qubits holds
+    # fewer bytes than 2^20 entries of at least "[0.0, 0.0]" need: json.load
+    # gives its message, with no array or skeleton built from the head's count
+    # (that took 22.1 MiB here before the file's size was checked)
+    path = tmp_path / "edited.json"
+    save_state(densify(ket_basis(2, [0, 0])), path)
+    path.write_text(path.read_text().replace('"n_qubits": 2', '"n_qubits": 10'))
+    assert path.stat().st_size < 300
+    tracemalloc.start()
+    try:
+        with pytest.raises(FileFormatError, match=f"^{re.escape(str(path))}: dimension 4 does not match n_qubits 10$"):
+            read_state_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_read_state_file_reads_the_caps_before_the_file(tmp_path, monkeypatch):
