@@ -14,17 +14,16 @@ Both stages pick entries of rho by basis index, a sum of the bit weights
 2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row
 and column weights: it sums each group's rows in one order into one
 result, in blocks of at most _GATHER_ENTRIES = 2^15 entries (512 KiB) at
-any qubit count, and reads a pure state's amplitudes undensified. partial_trace, the first stage, gathers the outsiders' rows
-against the kept qubits' columns. _split_blocks, the one entry for a
-list of splits (bunch_reduce, and measures' eof_bunches and survey),
-checks every split's labels, then runs its tasks, keyed by route and
-union size, in chunks. Two or more splits that share a union of k <= 7
-qubits (4^k <= 2^15) read their blocks at _union_positions from the
-partial trace of the union; every other split gathers its flip and
-outsider rows (_split_weights) against its four columns, to the same
-bits. A freed 1 MiB block lifts glibc's mmap and trim thresholds, so
-chunk temporaries stay in the heap. The projector route is a test
-reference; data is checked where it enters.
+any qubit count, and reads a pure state's amplitudes undensified.
+partial_trace, the first stage, gathers the outsiders' rows against the
+kept qubits' columns. _plan reads labels alone and owns the route rule:
+two or more splits that share a union of k <= 7 qubits (4^k <= 2^15) read
+their blocks at _union_positions from the partial trace of the union;
+every other split gathers its flip and outsider rows (_split_weights)
+against its four columns, to the same bits. _split_blocks runs the plan
+for bunch_reduce, eof_bunches and survey after a freed 1 MiB block lifts
+glibc's mmap and trim thresholds, so chunk temporaries stay in the heap.
+The projector route is a test reference; data is checked where it enters.
 """
 
 from __future__ import annotations
@@ -229,15 +228,11 @@ def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     return np.where(etas < _ETA_FLOOR, 0.0, etas)
 
 
-def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]):
-    """The reduction of a list of splits, one chunk at a time, by the route
-    rule of the module docstring: each chunk yields (members, blocks, etas),
-    its splits' indices into `partitions`, their (S, P, 4, 4) pattern blocks
-    and _pattern_weights as lists. A chunk reads only the state and its own
-    splits, so chunks are independent. A label beyond the state's qubits
-    raises before anything is gathered."""
-    n, budget = state.n_qubits, _GATHER_ENTRIES
-    np.empty(32 * budget, dtype=np.uint8)  # the heap lift
+def _plan(n: int, partitions: list[BunchPartition]):
+    """The gather tasks of splits on n qubits, lazily, by the module's route rule:
+    per chunk (members, rows, columns, groups, index), its indices into
+    `partitions`, _gather_sums' arguments and its (S, P, 4, 4) block positions
+    on the union route, else None. A label beyond n raises at the first next()."""
     unions: dict[tuple[int, ...], list[int]] = {}
     for k, partition in enumerate(partitions):
         union = tuple(sorted(partition.labels))
@@ -246,11 +241,11 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
         unions.setdefault(union, []).append(k)
     tasks: dict[tuple[bool, int], list] = {}  # (union route?, union size): its unions, or its splits
     for union, indices in unions.items():
-        shared = len(indices) > 1 and 4 ** len(union) <= budget
+        shared = len(indices) > 1 and 4 ** len(union) <= _GATHER_ENTRIES
         tasks.setdefault((shared, len(union)), []).extend([union] if shared else indices)
     for (shared, size), items in tasks.items():
         # an item gathers its columns (a union 2^k, a split 4) of all 2^n basis states
-        step = max(1, budget // ((1 << size if shared else 4) << n))
+        step = max(1, _GATHER_ENTRIES // ((1 << size if shared else 4) << n))
         for chunk in (items[lo:lo + step] for lo in range(0, len(items), step)):
             if shared:
                 placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
@@ -262,15 +257,25 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
                 rows = [_outsider_weights(union, n) for union in chunk]
                 columns = [[1 << (n - x) for x in union] for union in chunk]
             else:
-                members, rows, columns = chunk, [], []
+                members, rows, columns, index = chunk, [], [], None
                 for p in (partitions[k] for k in chunk):  # one union size: one pattern count
                     *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
                     rows.append(flips + _outsider_weights(p.labels, n))
                     columns.append([fa, fb])
-            blocks = _gather_sums(state, rows, columns, 0 if shared else size - 2)
-            # rebound here, so the union's reduced states are freed before the yield
-            blocks = blocks.reshape(-1)[index] if shared else blocks.reshape(len(chunk), -1, 4, 4)
-            yield members, blocks, _pattern_weights(blocks).tolist()
+            yield members, rows, columns, 0 if shared else size - 2, index
+
+
+def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]):
+    """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4)
+    pattern blocks of its splits and their _pattern_weights as lists. Tasks
+    are independent. Each allocates its index table, gather result and
+    reshape in that order; another order moves a survey's page faults."""
+    np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
+    for members, rows, columns, groups, index in _plan(state.n_qubits, partitions):
+        blocks = _gather_sums(state, rows, columns, groups)
+        # rebound here, so the union's reduced states are freed before the yield
+        blocks = blocks.reshape(len(members), -1, 4, 4) if index is None else blocks.reshape(-1)[index]
+        yield members, blocks, _pattern_weights(blocks).tolist()
 
 
 def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:

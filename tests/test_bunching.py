@@ -27,7 +27,7 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import bunching, measures
-from bunchent.bunching import _pattern_count, _pattern_weights, _split_blocks, _union_positions
+from bunchent.bunching import _pattern_count, _pattern_weights, _plan, _split_blocks, _union_positions
 from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
@@ -265,21 +265,17 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         cut = int(rng.integers(1, size))
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
     budget = (rows << 2 * size) if rows else bunching._GATHER_ENTRIES
-    sharing = Counter(frozenset(p.labels) for p in splits)
-    union_route = sum(c for c in sharing.values() if c > 1) if 4 ** size <= budget else 0
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
     ) as chain, mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
+        if shared and count > 1:  # every split read from its union's partial trace
+            assert all(index is not None for *_, index in _plan(n, splits))
         reports = _measure_splits(state, splits)
         batch = [None] * len(splits)
-        with mock.patch.object(bunching, "_union_positions", wraps=bunching._union_positions) as read:
-            for members, blocks, _ in _split_blocks(state, splits):
-                for k, split_blocks in zip(members, blocks):
-                    batch[k] = split_blocks
-            assert read.call_count == union_route  # a split read from its union's partial trace
-            read.reset_mock()
-            alone = [next(_split_blocks(state, [part]))[1][0] for part in splits]
-            assert read.call_count == 0  # a split alone gathers its own patterns
+        for members, blocks, _ in _split_blocks(state, splits):
+            for k, split_blocks in zip(members, blocks):
+                batch[k] = split_blocks
+        alone = [next(_split_blocks(state, [part]))[1][0] for part in splits]
     stack = chain.call_args.args[0]
 
     def bits(x):
@@ -338,6 +334,52 @@ def test_blocks_of_term_rows_keep_the_bits(seed, k, outsiders, pure, zeros, shar
     for part, got, whole in zip(splits, batch, unsplit):
         assert np.array_equal(bits(got), bits(whole))
         assert np.array_equal(bits(got), bits(ordered_reduction(state, part)[0]))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 16),
+    pool=st.integers(1, 6),
+    count=st.integers(1, 40),
+    budget=st.integers(4, 17),
+)
+@example(seed=0, n=16, pool=3, count=40, budget=15)  # 16 qubits: no gather, only the plan
+def test_plan_routes_and_chunks_every_split(seed, n, pool, count, budget):
+    # the plan reads labels alone, so it is checked on shapes too large to
+    # gather; splits drawn from a few unions share them
+    rng = np.random.default_rng(seed)
+    unions = [rng.permutation(n)[:rng.integers(2, n + 1)] + 1 for _ in range(pool)]
+    splits = []
+    for _ in range(count):
+        labels = [int(x) for x in rng.permutation(unions[rng.integers(pool)])]
+        cut = int(rng.integers(1, len(labels)))
+        splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
+    sharing = Counter(frozenset(p.labels) for p in splits)
+    with mock.patch.object(bunching, "_GATHER_ENTRIES", 2 ** budget):
+        tasks = list(_plan(n, splits))
+        with pytest.raises(ValueError, match="exceed"):  # before the first task
+            next(_plan(n, [*splits, BunchPartition((1,), (n + 1,))]))
+    assert sorted(k for members, *_ in tasks for k in members) == list(range(count))
+    for members, rows, columns, _, index in tasks:
+        size = len(splits[members[0]].labels)
+        for k in members:  # the union route exactly for a shared union of 4^k <= budget entries
+            assert (index is not None) == (sharing[frozenset(splits[k].labels)] > 1 and 4 ** size <= 2 ** budget)
+        if index is not None:
+            assert index.shape == (len(members), 1 << (size - 2), 4, 4)
+        # an item gathers 2^len(rows) terms of K^2 entries, K = 2^len(columns)
+        assert len(rows) == 1 or len(rows) << (len(rows[0]) + 2 * len(columns[0])) <= 2 ** budget
+
+
+def test_readme_survey_counts_from_the_plan():
+    # README: a 10-qubit --max-bunch 2 survey has 1,035 splits over 375
+    # unions; 990 of them share 330 unions, and the other 45 reduce alone
+    splits = enumerate_partitions(10, 2)
+    tasks = list(_plan(10, splits))
+    assert (len(splits), len({frozenset(p.labels) for p in splits})) == (1035, 375)
+    shared = [(members, rows) for members, rows, *_, index in tasks if index is not None]
+    assert sum(len(members) for members, _ in shared) == 990
+    assert sum(len(rows) for _, rows in shared) == 330  # one item per union
+    assert sum(len(members) for members, *_, index in tasks if index is None) == 45
 
 
 def test_singleton_pair_equals_partial_trace(rng):

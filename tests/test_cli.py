@@ -634,12 +634,14 @@ def test_build_writes_the_bytes_save_state_writes(tmp_path):
 
 def test_check_and_survey_read_a_pipe(tmp_path):
     # a pipe cannot seek, so it is read once, into memory, and a file that
-    # the piecewise reader cannot vouch for still reaches json.load whole
-    saved, indented = tmp_path / "saved.json", tmp_path / "indented.json"
+    # the piecewise reader cannot vouch for still reaches json.load whole,
+    # for a mixed state and a pure one
+    saved, indented, pure = tmp_path / "saved.json", tmp_path / "indented.json", tmp_path / "pure.json"
     state = random_mixed(np.random.default_rng(3), 3)
     save_state(state, saved)
     indented.write_text(json.dumps(states.state_payload(state), indent=1))
-    for path in (saved, indented):
+    pure.write_text(json.dumps(states.state_payload(ghz(3)), indent=1))
+    for path in (saved, indented, pure):
         for argv in (["check"], ["survey"]):
             via_file, via_pipe = (subprocess.run(
                 [sys.executable, "-m", "bunchent", *argv, name], input=text, capture_output=True, text=True)

@@ -6,6 +6,7 @@ Frozen reference values:
   - binary_entropy(0.8) = 0.7219280948873623
 """
 
+import cmath
 import json
 import math
 import platform
@@ -16,7 +17,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from bunchent import (
@@ -30,6 +31,7 @@ from bunchent import (
     bunch_reduce,
     concurrence,
     densify,
+    enumerate_partitions,
     eof,
     eof_bunches,
     ghz,
@@ -176,6 +178,37 @@ def test_eof_consistent_with_concurrence(rng):
         assert report.lambdas == tuple(sorted(report.lambdas, reverse=True))
 
 
+@st.composite
+def _x_states(draw):
+    """An X state's diagonal p and coherences z = rho_14, w = rho_23, with
+    |z| <= sqrt(p1 p4) and |w| <= sqrt(p2 p3) and random phases."""
+    raw = [draw(st.floats(0, 1)) for _ in range(4)]
+    assume(sum(raw) > 0)
+    p = tuple(x / sum(raw) for x in raw)
+    z, w = (draw(st.floats(0, 1)) * math.sqrt(p[i] * p[j]) * cmath.exp(1j * draw(st.floats(0, 2 * math.pi)))
+            for i, j in ((0, 3), (1, 2)))
+    return p, z, w
+
+
+@given(x=_x_states())
+@example(x=((0.020571610413992726, 0.5297229142104177, 1.5891158289262755e-07, 0.44970531646400674),
+            0.026947039576221885 + 0.055049300246102904j, 8.066001541315687e-05 + 0.00019930307150728998j))
+def test_x_state_concurrence_closed_form(x):
+    # Yu & Eberly (2007): C = 2 max(0, |z| - sqrt(p2 p3), |w| - sqrt(p1 p4)),
+    # with lambdas sqrt(p1 p4) +- |z| and sqrt(p2 p3) +- |w|. Away from the
+    # chain's floor (no lambda in (0, 1e-6)) the error grows as rho nears
+    # singular: the example, whose smallest lambda is 7.5e-5, prints
+    # C = 0.12200142900783344 against 0.122001429008036146, 2.0e-13 off
+    p, z, w = x
+    a, b = math.sqrt(p[0] * p[3]), math.sqrt(p[1] * p[2])
+    lambdas = [lam for lam in (a + abs(z), abs(a - abs(z)), b + abs(w), abs(b - abs(w))) if lam]
+    assume(min(lambdas, default=1.0) >= 1e-6)
+    rho = np.diag(np.array(p, dtype=complex))
+    rho[0, 3], rho[3, 0], rho[1, 2], rho[2, 1] = z, z.conjugate(), w, w.conjugate()
+    want = 2 * max(0.0, abs(z) - b, abs(w) - a)
+    assert abs(concurrence(rho) - want) <= 1e-14 + 1e-15 / min(lambdas, default=math.inf)
+
+
 def _lambdas_eigen_route(mat: np.ndarray) -> np.ndarray:
     """Descending square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho),
     with sqrt(rho) from np.linalg.eigh and the chain's 1e-14 floor on both spectra."""
@@ -297,9 +330,9 @@ def test_union_route_bounds_its_gathers():
     # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time
     psi = random_pure(np.random.default_rng(14), 14)
     parts = [BunchPartition((1, 2), (3, 4)), BunchPartition((1, 3), (2, 4)), BunchPartition((1, 4), (2, 3))]
-    with mock.patch.object(bunching, "_gather_sums", wraps=bunching._gather_sums) as gather:
-        rows, peak = _traced(_measure_splits, psi, parts)
-    assert gather.call_count == 1 and len(gather.call_args.args[2][0]) == 4  # 4 member weights: the union's 16 columns
+    ((_, _, columns, _, index),) = bunching._plan(14, parts)  # one task: one gather
+    assert index is not None and len(columns[0]) == 4  # 4 member weights: the union's 16 columns
+    rows, peak = _traced(_measure_splits, psi, parts)
     assert [_row(r) for r in rows] == [_row(_measure_splits(psi, [p])[0]) for p in parts]
     assert peak < 3 * 2**20
     # one pure 16-qubit pair split: 2^14 outsider rows of 16 entries (4 MiB)
@@ -315,17 +348,13 @@ def test_union_route_bounds_its_gathers():
 def test_union_route_choice():
     # the union route runs only where two or more splits share a union of
     # at most 7 qubits: never for one split, nor for an 8-qubit full cover
-    rng = np.random.default_rng(6)
-    psi, part = random_pure(rng, 6), BunchPartition((1, 3), (2, 5))
-    with mock.patch.object(bunching, "_union_positions", wraps=bunching._union_positions) as route:
-        eof_bunches(psi, part)
-        eof_bunches(densify(psi), part)
-        bunch_reduce(psi, part)
-        assert route.call_count == 0
-        assert len(survey(ghz(8), full_cover=True)) == 127
-        assert route.call_count == 0
-        survey(psi, max_bunch=2)
-        assert route.call_count > 0
+    def routes(n, parts):
+        return {index is not None for *_, index in bunching._plan(n, parts)}
+
+    assert routes(6, [BunchPartition((1, 3), (2, 5))]) == {False}
+    assert len(survey(ghz(8), full_cover=True)) == 127
+    assert routes(8, enumerate_partitions(8, full_cover=True)) == {False}
+    assert routes(6, enumerate_partitions(6, 2)) == {False, True}
 
 
 def test_survey_refuses_patterns_above_the_cap_before_enumerating():
