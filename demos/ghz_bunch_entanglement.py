@@ -8,14 +8,14 @@ reduction collapses to a classical mixture with zero concurrence.
 Run: python demos/ghz_bunch_entanglement.py
 """
 
-from bunchent import densify, enumerate_partitions, eof_bunches, ghz
+from bunchent import enumerate_partitions, eof_bunches, ghz
 
 for n in range(3, 7):
-    rho = densify(ghz(n))
+    state = ghz(n)
     full = []
     partial = []
     for part in enumerate_partitions(n):
-        rep = eof_bunches(rho, part)
+        rep = eof_bunches(state, part)
         (full if part.m + part.n == n else partial).append(rep)
     print(f"GHZ on {n} qubits")
     print(f"  full covers:    {len(full):3d} splits, "
@@ -25,8 +25,8 @@ for n in range(3, 7):
 
 # the pairwise picture: every two-qubit marginal is separable, the
 # entanglement only appears when the bunches exhaust the state
-rho = densify(ghz(4))
+state = ghz(4)
 print("\nGHZ on 4 qubits, singleton pairs:")
 for part in enumerate_partitions(4, max_bunch=1):
-    rep = eof_bunches(rho, part)
+    rep = eof_bunches(state, part)
     print(f"  qubits {part.bunch_a[0]} vs {part.bunch_b[0]}: concurrence {rep.concurrence:.1f}")

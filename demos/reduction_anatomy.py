@@ -15,15 +15,13 @@ import numpy as np
 from bunchent import (
     BunchPartition,
     bunch_reduce,
-    densify,
     normalize,
     tripartite_triple,
 )
 
 w_state = normalize([0, 1, 1, 0, 1, 0, 0, 0])  # (|001> + |010> + |100>)/sqrt(3)
-rho = densify(w_state)
 
-red = bunch_reduce(rho, BunchPartition((1,), (2, 3)))
+red = bunch_reduce(w_state, BunchPartition((1,), (2, 3)))
 print("W state, qubit 1 vs bunch (2, 3):")
 for comp in red.components:
     mask = "".join(map(str, comp.pattern.mask_b))
@@ -40,7 +38,7 @@ print(f"weights sum to {sum(red.etas):.12f}")
 # all three splits of a 3-qubit state at once; the middle one is
 # anchored at qubit 3 so the splits cycle through the subsystems
 print("\netas of the three canonical splits:")
-for red in tripartite_triple(rho):
+for red in tripartite_triple(w_state):
     a = "-".join(map(str, red.partition.bunch_a))
     b = "-".join(map(str, red.partition.bunch_b))
     print(f"  {a} vs {b}: etas {tuple(round(e, 6) for e in red.etas)}")

@@ -8,17 +8,17 @@ of where the 0/1 boundary w sits.
 Run: python demos/two_branch_states.py
 """
 
-from bunchent import bell_w_state, densify, enumerate_partitions, eof_bunches, survey_csv, survey
+from bunchent import bell_w_state, enumerate_partitions, eof_bunches, survey_csv, survey
 
 n = 5
 for w in range(1, n):
-    rho = densify(bell_w_state(n, w))
+    state = bell_w_state(n, w)
     full_eofs = [
-        eof_bunches(rho, part).eof
+        eof_bunches(state, part).eof
         for part in enumerate_partitions(n, full_cover=True)
     ]
     partial_eofs = [
-        eof_bunches(rho, part).eof
+        eof_bunches(state, part).eof
         for part in enumerate_partitions(n)
         if part.m + part.n < n
     ]
@@ -27,5 +27,5 @@ for w in range(1, n):
 
 # the survey helper emits the same numbers as a CSV table
 print("\nfull-cover survey of bell_w_state(4, 2):")
-rho = densify(bell_w_state(4, 2))
-print(survey_csv(survey(rho, full_cover=True)), end="")
+state = bell_w_state(4, 2)
+print(survey_csv(survey(state, full_cover=True)), end="")

@@ -169,10 +169,10 @@ def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, 
     inner = (columns @ _row_bits(columns.shape[1])).repeat(1 << groups, axis=0)
     (count, length), width = outer.shape, inner.shape[1]
     cols = max(1, min(width, _GATHER_ENTRIES // width))  # term rows per block: all of them up to K = 2^7
-    groups = max(1, min(count, _GATHER_ENTRIES // (length * width * cols)))
-    step = max(1, _GATHER_ENTRIES // (groups * width * cols))
-    for g, lo, c in product(range(0, count, groups), range(0, length, step), range(0, width, cols)):
-        table = outer[g:g + groups, lo:lo + step, None] ^ inner[g:g + groups, None, :]
+    per_block = max(1, min(count, _GATHER_ENTRIES // (length * width * cols)))  # groups per block
+    step = max(1, _GATHER_ENTRIES // (per_block * width * cols))
+    for g, lo, c in product(range(0, count, per_block), range(0, length, step), range(0, width, cols)):
+        table = outer[g:g + per_block, lo:lo + step, None] ^ inner[g:g + per_block, None, :]
         if isinstance(state, StateVector):
             amp = state.amplitudes[table]
             terms = amp[..., c:c + cols, None] * amp.conj()[..., None, :]
@@ -182,7 +182,7 @@ def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, 
         terms = np.ascontiguousarray(terms)
         if not (g or lo or c):  # after the first block, as a whole sum was: glibc then leaves a survey's heap untrimmed
             sums = np.empty((count, width, width), dtype=complex)
-        slab = sums[g:g + groups, c:c + cols]  # C-contiguous: one group when cols < K
+        slab = sums[g:g + per_block, c:c + cols]  # C-contiguous: one group when cols < K
         if lo:  # carry the sum of the rows before this block
             terms[:, 0] += slab
         terms.sum(axis=1, out=slab)

@@ -1,9 +1,11 @@
-"""Command line interface.
+"""Command line interface: build, reduce, eof, survey, check.
 
-Subcommands: build, reduce, eof, survey, check. Each writes its output or
-raises, and `main` maps the exception to an exit code by `_EXIT_CODES`:
-0 success, 2 usage or parameter error, 3 capacity exceeded, 4 invariant
-violation, 5 file I/O or format problem; one `error: ...` line on stderr.
+The parser is the one table: each subparser carries its handler, `run` for a
+command and `make` for a build kind. A handler writes its output or raises, and
+`main` maps the exception to an exit code by `_EXIT_CODES`: 0 success, 2 usage
+or parameter error, 3 capacity exceeded, 4 invariant violation, 5 file I/O or
+format problem; one `error: ...` line on stderr. Argparse's own usage errors
+print its usage line and an `error: ...` line, and exit 2.
 """
 
 from __future__ import annotations
@@ -73,45 +75,32 @@ def _output(path: str):
 
 def _cmd_build(args: argparse.Namespace) -> None:
     with _output(args.out) as write:
-        write(_state_text(_built(args)))
+        write(_state_text(args.make(args)))
 
 
-def _built(args: argparse.Namespace) -> StateVector | DensityMatrix:
-    """The state `build` names, its arguments checked before any subset is listed."""
-    if args.kind == "ghz":
-        state: StateVector | DensityMatrix = ghz(args.n)
-    elif args.kind == "bellw":
-        state = bell_w_state(args.n, args.w)
-    elif args.kind == "embedded":
-        state = embedded_bell(args.m, _parse_labels(args.subset, "--subset"), args.w)
-    elif args.kind == "basis":
-        if not args.bits or args.bits.strip("01"):
-            raise ValueError(f"--bits expects a 0/1 string, got {args.bits!r}")
-        state = ket_basis(len(args.bits), [int(c) for c in args.bits])
-    else:  # molecule, the last of argparse's choices
-        if args.uniform:  # the cap and the size rule come before the C(m, n) subsets are listed
-            _check_cap("mixed", args.m)
-            if not 2 <= args.n <= args.m:
-                raise ValueError(f"--n must satisfy 2 <= n <= {args.m}, got {args.n}")
-            subsets = list(combinations(range(1, args.m + 1), args.n))
-            weights = {s: 1.0 / len(subsets) for s in subsets}
-        else:
-            if args.weights is None:
-                raise ValueError("molecule needs --uniform or --weights")
-            try:
-                raw = json.loads(args.weights)
-            except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
-                raise ValueError("--weights is not valid JSON") from None
-            if not isinstance(raw, dict):
-                raise ValueError("--weights must be a JSON object")
-            if any(type(val) not in (int, float) for val in raw.values()):  # bool is no weight
-                raise ValueError("--weights values must be JSON numbers")
-            weights = {
-                _parse_labels(key.replace("-", ","), "--weights key"): float(val)
-                for key, val in raw.items()
-            }
-        state = entanglement_molecule(args.m, args.n, args.w, weights)
-    return state
+def _basis(args: argparse.Namespace) -> StateVector:
+    if not args.bits or args.bits.strip("01"):
+        raise ValueError(f"--bits expects a 0/1 string, got {args.bits!r}")
+    return ket_basis(len(args.bits), [int(c) for c in args.bits])
+
+
+def _molecule(args: argparse.Namespace) -> DensityMatrix:
+    if args.uniform:  # the cap and the size rule come before the C(m, n) subsets are listed
+        _check_cap("mixed", args.m)
+        if not 2 <= args.n <= args.m:
+            raise ValueError(f"--n must satisfy 2 <= n <= {args.m}, got {args.n}")
+        subsets = list(combinations(range(1, args.m + 1), args.n))
+        return entanglement_molecule(args.m, args.n, args.w, dict.fromkeys(subsets, 1.0 / len(subsets)))
+    try:
+        raw = json.loads(args.weights)
+    except (ValueError, RecursionError):  # a JSONDecodeError is a ValueError
+        raise ValueError("--weights is not valid JSON") from None
+    if not isinstance(raw, dict):
+        raise ValueError("--weights must be a JSON object")
+    if any(type(val) not in (int, float) for val in raw.values()):  # bool is no weight
+        raise ValueError("--weights values must be JSON numbers")
+    weights = {_parse_labels(key.replace("-", ","), "--weights key"): float(val) for key, val in raw.items()}
+    return entanglement_molecule(args.m, args.n, args.w, weights)
 
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
@@ -154,31 +143,42 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     build = sub.add_parser("build", help="write a named state to a JSON file")
+    build.set_defaults(run=_cmd_build)
     kinds = build.add_subparsers(dest="kind", required=True)
     ghz_p = kinds.add_parser("ghz")
+    ghz_p.set_defaults(make=lambda args: ghz(args.n))
     ghz_p.add_argument("--n", type=int, required=True, help="number of qubits")
     bellw_p = kinds.add_parser("bellw")
+    bellw_p.set_defaults(make=lambda args: bell_w_state(args.n, args.w))
     bellw_p.add_argument("--n", type=int, required=True)
     bellw_p.add_argument("--w", type=int, required=True, help="leading zeros in the first branch")
     emb_p = kinds.add_parser("embedded")
+    emb_p.set_defaults(make=lambda args: embedded_bell(args.m, _parse_labels(args.subset, "--subset"), args.w))
     emb_p.add_argument("--m", type=int, required=True, help="total qubit count")
     emb_p.add_argument("--subset", required=True, help="ascending labels, e.g. 2,4")
     emb_p.add_argument("--w", type=int, required=True)
     mol_p = kinds.add_parser("molecule")
+    mol_p.set_defaults(make=_molecule)
     mol_p.add_argument("--m", type=int, required=True)
     mol_p.add_argument("--n", type=int, required=True, help="subset size")
     mol_p.add_argument("--w", type=int, required=True)
-    mol_p.add_argument("--uniform", action="store_true", help="uniform weights over all subsets")
-    mol_p.add_argument("--weights", help='JSON object, e.g. {"1-2-3": 0.5, "2-3-4": 0.5}')
+    weighting = mol_p.add_mutually_exclusive_group(required=True)
+    weighting.add_argument("--uniform", action="store_true", help="uniform weights over all subsets")
+    weighting.add_argument("--weights", help='JSON object, e.g. {"1-2-3": 0.5, "2-3-4": 0.5}')
     basis_p = kinds.add_parser("basis")
+    basis_p.set_defaults(make=_basis)
     basis_p.add_argument("--bits", required=True, help="bit string, qubit 1 first")
     for kp in (ghz_p, bellw_p, emb_p, mol_p, basis_p):
         kp.add_argument("--out", default="-", help="output path, - for stdout")
 
     reduce_p = sub.add_parser("reduce", help="reduce a state onto a bunch pair")
+    reduce_p.set_defaults(run=_cmd_reduce)
     eof_p = sub.add_parser("eof", help="concurrence and entanglement of formation of a bunch pair")
+    eof_p.set_defaults(run=_cmd_eof)
     survey_p = sub.add_parser("survey", help="measure every bunch pair of a state")
+    survey_p.set_defaults(run=_cmd_survey)
     check_p = sub.add_parser("check", help="report invariant defects of a state file")
+    check_p.set_defaults(run=_cmd_check)
     for sp in (reduce_p, eof_p, survey_p, check_p):
         sp.add_argument("state", help="state file path")
     for sp in (reduce_p, eof_p):
@@ -198,19 +198,10 @@ def _parser() -> argparse.ArgumentParser:
 # no class here subclasses another, so an exception matches exactly one row
 _EXIT_CODES = {CapacityError: 3, InvariantError: 4, FileFormatError: 5, OSError: 5, ValueError: 2}
 
-_COMMANDS = {
-    "build": _cmd_build,
-    "reduce": _cmd_reduce,
-    "eof": _cmd_eof,
-    "survey": _cmd_survey,
-    "check": _cmd_check,
-}
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

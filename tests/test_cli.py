@@ -507,7 +507,6 @@ def test_check_agrees_across_readers_on_edited_files(saved_texts, kind, edits):
 
 
 def test_molecule_weights_validation(capsys):
-    assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1"]) == 2
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", "{bad"]) == 2
     capsys.readouterr()
     for weights in (
@@ -651,10 +650,27 @@ def test_check_and_survey_read_a_pipe(tmp_path):
 
 
 def test_argparse_rejects_unknown(ghz3):
-    with pytest.raises(SystemExit):
-        main(["eof", ghz3])  # missing --a/--b
-    with pytest.raises(SystemExit):
-        main(["reduce", ghz3, "--a", "1", "--b", "2", "--format", "csv"])
+    for argv in (
+        ["eof", ghz3],  # missing --a/--b
+        ["reduce", ghz3, "--a", "1", "--b", "2", "--format", "csv"],
+        ["build", "molecule", "--m", "4", "--n", "3", "--w", "1"],  # neither --uniform nor --weights
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("weighting", [[], ["--uniform", "--weights", '{"1-2-3": 1.0}']], ids=["neither", "both"])
+def test_molecule_takes_exactly_one_weighting(weighting, tmp_path, capsys):
+    # argparse refuses the molecule before --out is opened: its usage line, then one error line
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", *weighting, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("usage: bunchent build molecule ")
+    assert err.count("\nbunchent build molecule: error: ") == 1 and "--uniform" in err.splitlines()[-1]
 
 
 def test_module_entry_point(tmp_path):
