@@ -9,7 +9,7 @@ of formation.
 
 from importlib import import_module
 
-from . import errors, states  # loaded with the package; bunching and measures wait for a name of theirs
+from . import errors  # loaded with the package; states (and numpy), bunching and measures wait for a name of theirs
 
 __version__ = "0.1.0"
 

@@ -458,11 +458,14 @@ def saved_texts(tmp_path_factory):
     return folder, {name: (folder / f"{name}.json").read_bytes() for name in ("mixed", "pure")}
 
 
-def _check_bytes(path):
-    """main(["check", path]) as (exit code, stdout, stderr)."""
+def _main_bytes(argv):
+    """main(argv) as (exit code, stdout, stderr); an argparse usage error exits through SystemExit."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(["check", str(path)])
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -493,7 +496,7 @@ def test_check_agrees_across_readers_on_edited_files(saved_texts, kind, edits):
             del text[at]
     path = folder / "edited.json"
     path.write_bytes(text)
-    live = _check_bytes(path)
+    live = _main_bytes(["check", str(path)])
     head = states._LAYOUT_HEAD.match(text)
     if head and (head[1] == b"pure") == (head[3] == b"amplitudes"):
         noun, cap = ("pure state", states.MAX_PURE_QUBITS) if head[1] == b"pure" else (
@@ -503,7 +506,7 @@ def test_check_agrees_across_readers_on_edited_files(saved_texts, kind, edits):
             assert live == (3, "", message)
             return
     with mock.patch.object(states, "_read_layout", return_value=None):
-        assert _check_bytes(path) == live
+        assert _main_bytes(["check", str(path)]) == live
 
 
 def test_molecule_weights_validation(capsys):
@@ -688,3 +691,14 @@ def test_module_entry_point(tmp_path):
     )
     assert run.returncode == 0
     assert run.stdout == "concurrence 1.000000000000\neof 1.000000000000\n"
+    # the entry turns the collector back on after freezing the start-up heap
+    code = ("import gc, json, sys\nfrom bunchent.__main__ import run\n"
+            f"sys.argv = ['bunchent', 'survey', {str(path)!r}, '--out', {str(tmp_path / 's.csv')!r}]\n"
+            "print(json.dumps([run(), gc.isenabled(), gc.get_freeze_count() > 0]))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert json.loads(run.stdout) == [0, True, True], run.stderr
+    # and changes no byte of what main() prints: a survey, a label beyond the state, a usage error
+    for argv in (["survey", str(path)], ["eof", str(path), "--a", "1", "--b", "9"],
+                 ["survey", str(path), "--format", "xml"]):
+        run = subprocess.run([sys.executable, "-m", "bunchent", *argv], capture_output=True, text=True)
+        assert (run.returncode, run.stdout, run.stderr) == _main_bytes(argv)

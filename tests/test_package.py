@@ -1,6 +1,7 @@
 """The package namespace and its record classes.
 
-`bunchent` imports `errors` and `states` eagerly. Every public name is
+`bunchent` imports only `errors` eagerly, so neither `states` nor numpy
+loads before `python -m bunchent` reaches its entry. Every public name is
 listed once, under the submodule that defines it, and resolves on first
 use by loading only that submodule: `from bunchent import BunchPartition`
 loads `bunching` but not `measures`. The seven record classes are plain
@@ -43,6 +44,12 @@ def _fresh(code: str) -> dict:
 
 _LOADED = "import json, sys; print(json.dumps({m: m in sys.modules for m in %r}))"
 _HEAVY = ("bunchent.bunching", "bunchent.measures", "dataclasses")
+
+
+def test_importing_the_package_loads_neither_numpy_nor_states():
+    # `python -m bunchent` runs __init__ before __main__.run turns the collector off
+    code = "import bunchent\n" + _LOADED % (("numpy", "bunchent.states"),)
+    assert _fresh(code) == {"numpy": False, "bunchent.states": False}
 
 
 def test_reading_a_state_loads_neither_bunching_nor_measures():
