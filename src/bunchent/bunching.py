@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import product
+from itertools import chain, combinations, product
 from math import comb
 from typing import Sequence
 
@@ -180,7 +180,7 @@ def _gather_sums(state: StateVector | DensityMatrix, rows: list, columns: list, 
             terms = state.entries[table[..., c:c + cols, None], table[..., None, :]]
         # numpy sums a C-ordered middle axis a row at a time, an innermost one pairwise
         terms = np.ascontiguousarray(terms)
-        if not (g or lo or c):  # after the first block, as a whole sum was: glibc then leaves a survey's heap untrimmed
+        if not (g or lo or c):  # after the first block: allocated first, a GHZ-8 full cover's CLI peaked 0.25 MB higher
             sums = np.empty((count, width, width), dtype=complex)
         slab = sums[g:g + per_block, c:c + cols]  # C-contiguous: one group when cols < K
         if lo:  # carry the sum of the rows before this block
@@ -269,7 +269,10 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
     """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4)
     pattern blocks of its splits and their _pattern_weights as lists. Tasks
     are independent. Each allocates its index table, gather result and
-    reshape in that order; another order moves a survey's page faults."""
+    reshape in that order, and _gather_sums its result after its first
+    block: allocated before it, the result raised the CLI's peak RSS by
+    0.25 MB on a GHZ-8 full cover and 0.07 MB on pure-10 pairs, and not on
+    a mixed-7 survey (medians of 20 alternating runs, 2 vCPU)."""
     np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
     for members, rows, columns, groups, index in _plan(state.n_qubits, partitions):
         blocks = _gather_sums(state, rows, columns, groups)
@@ -309,13 +312,9 @@ def tripartite_triple(
     )
 
 
-def _subsets(labels: tuple[int, ...], cap: int):
+def _subsets(labels: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     """Non-empty subsets of ascending labels, at most cap long, in tuple order."""
-    for k, x in enumerate(labels):
-        yield (x,)
-        if cap > 1:
-            for rest in _subsets(labels[k + 1:], cap - 1):
-                yield (x,) + rest
+    return sorted(chain.from_iterable(combinations(labels, k) for k in range(1, min(cap, len(labels)) + 1)))
 
 
 def enumerate_partitions(

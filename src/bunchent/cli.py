@@ -1,5 +1,8 @@
 """Command line interface: build, reduce, eof, survey, check.
 
+This module is not a script. Its two launchers, the `bunchent` script and
+`python -m bunchent`, both run `main` through `bunchent.__main__.run`.
+
 The parser is the one table: each subparser carries its handler, `run` for a
 command and `make` for a build kind. A handler writes its output or raises, and
 `main` maps the exception to an exit code by `_EXIT_CODES`: 0 success, 2 usage
@@ -112,7 +115,7 @@ def _cmd_eof(args: argparse.Namespace) -> None:
     report = eof_bunches(*_split(args))
     sys.stdout.write(f"concurrence {report.concurrence:.12f}\n")
     sys.stdout.write(f"eof {report.eof:.12f}\n")
-    if args.out not in (None, "-"):  # after the two lines, as README documents
+    if args.out != "-":  # after the two lines, as README documents
         with _output(args.out) as write:
             write(json.dumps(report_json_dict(report), indent=2) + "\n")
 
@@ -185,7 +188,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--a", required=True, help="bunch A labels, anchor first, e.g. 1")
         sp.add_argument("--b", required=True, help="bunch B labels, anchor first, e.g. 2,3")
     reduce_p.add_argument("--out", default="-")
-    eof_p.add_argument("--out", default=None, help="also write the report JSON here")
+    eof_p.add_argument("--out", default="-", help="also write the report JSON here")
     survey_p.add_argument("--full-cover", action="store_true", help="only pairs covering every qubit")
     survey_p.add_argument("--max-bunch", type=int, default=None)
     survey_p.add_argument("--format", default="csv", choices=["csv", "json"])
@@ -206,7 +209,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

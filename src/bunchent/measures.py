@@ -59,14 +59,6 @@ def binary_entropy(x: float) -> float:
     return total
 
 
-def _as_two_qubit(rho) -> np.ndarray:
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(2, rho)
-    if rho.n_qubits != 2:
-        raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
-    return rho.entries
-
-
 def _spin_flip_spectrum(mats: np.ndarray) -> np.ndarray:
     """Descending lambdas, shape (S, 4), of a (S, 4, 4) stack of states."""
     w, v = np.linalg.eigh(mats)
@@ -98,7 +90,11 @@ def _reports(lambdas: np.ndarray, partitions: list, etas: list) -> list[Entangle
 
 def eof(rho) -> EntanglementReport:
     """Entanglement report for a two-qubit density matrix."""
-    return _reports(_spin_flip_spectrum(_as_two_qubit(rho)[None]), [None], [None])[0]
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(2, rho)
+    if rho.n_qubits != 2:
+        raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
+    return _reports(_spin_flip_spectrum(rho.entries[None]), [None], [None])[0]
 
 
 def _measure_splits(

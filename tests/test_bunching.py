@@ -471,26 +471,27 @@ def test_enumerate_partitions_counts_and_order():
     assert len(enumerate_partitions(4)) == 25
     assert len(enumerate_partitions(4, full_cover=True)) == 7
     assert len(enumerate_partitions(4, max_bunch=1)) == 6
+    # a cap far beyond n lists every split at once: subset sizes stop at n
+    assert enumerate_partitions(4, max_bunch=10 ** 12) == enumerate_partitions(4)
 
     for part in enumerate_partitions(5):
         assert part.bunch_a[0] < part.bunch_b[0]
         assert not set(part.bunch_a) & set(part.bunch_b)
 
     # brute force: every ordered pair of disjoint ascending bunches, filtered, sorted
-    for n in range(2, 7):
+    for n in range(2, 9):
         labels = range(1, n + 1)
         subsets = [s for k in labels for s in combinations(labels, k)]
+        disjoint = sorted((a, b) for a in subsets for b in subsets if a[0] < b[0] and not set(a) & set(b))
         for max_bunch in (None, *range(1, n + 2)):
             cap = n if max_bunch is None else max_bunch
             for full_cover in (False, True):
-                want = sorted(
+                want = [
                     (a, b)
-                    for a in subsets
-                    for b in subsets
-                    if a[0] < b[0] and not set(a) & set(b)
-                    and len(a) <= cap and len(b) <= cap
+                    for a, b in disjoint
+                    if len(a) <= cap and len(b) <= cap
                     and (not full_cover or len(a) + len(b) == n)
-                )
+                ]
                 got = enumerate_partitions(n, max_bunch, full_cover)
                 assert [(p.bunch_a, p.bunch_b) for p in got] == want
                 # built without __post_init__, equal to checked partitions, hashed alike

@@ -82,9 +82,15 @@ def test_build_molecule_uniform_and_weighted(tmp_path):
     assert load_state(str(wtd)).n_qubits == 4
 
 
-def test_eof_golden_lines(ghz4, capsys):
+def test_eof_golden_lines(ghz4, tmp_path, monkeypatch, capsys):
     assert main(["eof", ghz4, "--a", "1", "--b", "2,3,4"]) == 0
     assert capsys.readouterr().out == "concurrence 1.000000000000\neof 1.000000000000\n"
+
+    # "-" is the default: the same two lines, and no report file
+    monkeypatch.chdir(tmp_path)
+    assert main(["eof", ghz4, "--a", "1", "--b", "2,3,4", "--out", "-"]) == 0
+    assert capsys.readouterr().out == "concurrence 1.000000000000\neof 1.000000000000\n"
+    assert list(tmp_path.iterdir()) == []
 
     assert main(["eof", ghz4, "--a", "1", "--b", "2,3"]) == 0
     assert capsys.readouterr().out == "concurrence 0.000000000000\neof 0.000000000000\n"

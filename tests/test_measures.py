@@ -394,8 +394,10 @@ def test_survey_chunks_stay_in_the_heap():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError):
-        eof(random_mixed(np.random.default_rng(0), 3))
+    three = random_mixed(np.random.default_rng(0), 3)
+    for measure in (eof, concurrence):
+        with pytest.raises(ValueError, match="expected a two-qubit state, got 3 qubits"):
+            measure(three)
     with pytest.raises(ValueError):
         concurrence(np.eye(2))
     skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
