@@ -11,17 +11,18 @@ operator. Each block contributes its trace as the pattern weight eta, and
 the weights over all patterns sum to one.
 
 Both stages pick entries of rho by basis index, a sum of the bit weights
-2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row
-and column weights: it sums each group's rows in one order into one
-result, in blocks of at most _GATHER_ENTRIES = 2^15 entries (512 KiB) at
-any qubit count, and reads a pure state's amplitudes undensified.
-partial_trace, the first stage, gathers the outsiders' rows against the
-kept qubits' columns. _plan reads labels alone and owns the route rule:
-two or more splits that share a union of k <= 7 qubits (4^k <= 2^15) read
-their blocks at _union_positions from the partial trace of the union;
-every other split gathers its flip and outsider rows (_split_weights)
-against its four columns, to the same bits. _split_blocks runs the plan
-for bunch_reduce, eof_bunches and survey after a freed 1 MiB block lifts
+2^(n - x) of qubits x. _gather_sums, the one gather, is entered by row and
+column weights: it sums each group's rows in one order into one result,
+reads a pure state's amplitudes undensified, and alone bounds the terms it
+forms, in blocks of at most _GATHER_ENTRIES = 2^15 entries (512 KiB) at
+any qubit count. partial_trace, the first stage, gathers the outsiders'
+rows against the kept qubits' columns. _plan reads labels alone, sizes
+tasks by the sums and row offsets they keep, and owns the route rule: two
+or more splits that share a union of k <= 7 qubits (4^k <= 2^15) read
+their blocks at _union_positions from the union's partial trace; every
+other split gathers its flip and outsider rows (_split_weights) against
+its four columns, to the same bits. _split_blocks runs the plan for
+bunch_reduce, eof_bunches and survey after a freed 1 MiB block lifts
 glibc's mmap and trim thresholds, so chunk temporaries stay in the heap.
 The projector route is a test reference; data is checked where it enters.
 """
@@ -230,9 +231,11 @@ def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
 
 def _plan(n: int, partitions: list[BunchPartition]):
     """The gather tasks of splits on n qubits, lazily, by the module's route rule:
-    per chunk (members, rows, columns, groups, index), its indices into
+    per task (members, rows, columns, groups, index), its indices into
     `partitions`, _gather_sums' arguments and its (S, P, 4, 4) block positions
-    on the union route, else None. A label beyond n raises at the first next()."""
+    on the union route, else None. A task takes as many items (unions or splits)
+    as keep its sums and its row offsets each within _GATHER_ENTRIES, and leaves
+    the terms it forms to _gather_sums. A label beyond n raises at the first next()."""
     unions: dict[tuple[int, ...], list[int]] = {}
     for k, partition in enumerate(partitions):
         union = tuple(sorted(partition.labels))
@@ -244,8 +247,8 @@ def _plan(n: int, partitions: list[BunchPartition]):
         shared = len(indices) > 1 and 4 ** len(union) <= _GATHER_ENTRIES
         tasks.setdefault((shared, len(union)), []).extend([union] if shared else indices)
     for (shared, size), items in tasks.items():
-        # an item gathers its columns (a union 2^k, a split 4) of all 2^n basis states
-        step = max(1, _GATHER_ENTRIES // ((1 << size if shared else 4) << n))
+        sums, offsets = (4 ** size, 1 << n - size) if shared else (4 << size, 1 << n - 2)  # of one item; a split: 16 a pattern
+        step = max(1, _GATHER_ENTRIES // max(sums, offsets))
         for chunk in (items[lo:lo + step] for lo in range(0, len(items), step)):
             if shared:
                 placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
@@ -269,10 +272,7 @@ def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPart
     """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4)
     pattern blocks of its splits and their _pattern_weights as lists. Tasks
     are independent. Each allocates its index table, gather result and
-    reshape in that order, and _gather_sums its result after its first
-    block: allocated before it, the result raised the CLI's peak RSS by
-    0.25 MB on a GHZ-8 full cover and 0.07 MB on pure-10 pairs, and not on
-    a mixed-7 survey (medians of 20 alternating runs, 2 vCPU)."""
+    reshape in that order, the result after the gather's first block."""
     np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
     for members, rows, columns, groups, index in _plan(state.n_qubits, partitions):
         blocks = _gather_sums(state, rows, columns, groups)

@@ -38,11 +38,11 @@ from .states import (
     state_defects,
 )
 
-def _parse_labels(text: str, flag: str) -> tuple[int, ...]:
+def _parse_labels(text: str, flag: str, sep: str = ",") -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.replace(sep, ",").split(","))  # commas split a --weights key too
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise ValueError(f"{flag} expects {'comma' if sep == ',' else 'dash'}-separated integers, got {text!r}") from None
 
 
 def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, BunchPartition]:
@@ -102,7 +102,7 @@ def _molecule(args: argparse.Namespace) -> DensityMatrix:
         raise ValueError("--weights must be a JSON object")
     if any(type(val) not in (int, float) for val in raw.values()):  # bool is no weight
         raise ValueError("--weights values must be JSON numbers")
-    weights = {_parse_labels(key.replace("-", ","), "--weights key"): float(val) for key, val in raw.items()}
+    weights = {_parse_labels(key, "--weights key", "-"): float(val) for key, val in raw.items()}
     return entanglement_molecule(args.m, args.n, args.w, weights)
 
 

@@ -1,7 +1,7 @@
 """Pattern subspaces and the two-stage bunch reduction."""
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, groupby
 from unittest import mock
 
 import numpy as np
@@ -366,8 +366,14 @@ def test_plan_routes_and_chunks_every_split(seed, n, pool, count, budget):
             assert (index is not None) == (sharing[frozenset(splits[k].labels)] > 1 and 4 ** size <= 2 ** budget)
         if index is not None:
             assert index.shape == (len(members), 1 << (size - 2), 4, 4)
-        # an item gathers 2^len(rows) terms of K^2 entries, K = 2^len(columns)
-        assert len(rows) == 1 or len(rows) << (len(rows[0]) + 2 * len(columns[0])) <= 2 ** budget
+    # an item keeps 2^groups sums of K^2 entries, K = 2^len(columns), and 2^len(rows) row offsets:
+    # a task keeps each within the budget, and every task but the last of its (route, size) is full
+    for _, group in groupby(tasks, lambda task: (task[4] is not None, len(splits[task[0][0]].labels))):
+        *full, last = [(len(rows), max(1 << groups + 2 * len(columns[0]), 1 << len(rows[0])))
+                       for _, rows, columns, groups, _ in group]
+        for items, kept in [*full, last]:
+            assert items == 1 or items * kept <= 2 ** budget
+        assert all(items == max(1, 2 ** budget // kept) for items, kept in full)
 
 
 def test_readme_survey_counts_from_the_plan():

@@ -539,6 +539,13 @@ def test_molecule_weights_must_be_an_object(weights, capsys):
     assert capsys.readouterr() == ("", "error: --weights must be a JSON object\n")
 
 
+@pytest.mark.parametrize("key", ["1-x", "1--2", "1-2,x"])
+def test_molecule_weights_key_is_named_as_given(key, capsys):
+    # the message quotes the key as written, not with its dashes made commas
+    assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", json.dumps({key: 1.0})]) == 2
+    assert capsys.readouterr() == ("", f"error: --weights key expects dash-separated integers, got {key!r}\n")
+
+
 def test_uniform_molecule_meets_cap_and_size_before_listing(capsys):
     # C(22, 11) = 705,432 subsets, about 200 MB of tuples, are never listed
     tracemalloc.start()

@@ -296,7 +296,8 @@ def test_chunked_gather_matches_unchunked(seed, n, pure):
     parts = [random_split(rng, n) for _ in range(12)]
     rows = [_row(r) for r in _measure_splits(state, parts)]
     assert rows == [_row(_measure_splits(state, [p])[0]) for p in parts]
-    # a split gathers 2^(n+2) entries, so these chunks hold 1 to 7 splits
+    # a split keeps 2^(k+2) sums, k its union's size, and 2^(n-2) row offsets, so
+    # these chunks hold 1 to 7 splits of n qubits and more of smaller unions
     for entries in (1, int(rng.integers(1, 8 << (n + 2)))):
         with mock.patch.object(bunching, "_GATHER_ENTRIES", entries):
             assert [_row(r) for r in _measure_splits(state, parts)] == rows
@@ -304,7 +305,7 @@ def test_chunked_gather_matches_unchunked(seed, n, pure):
 
 def test_survey_gathers_in_bounded_chunks():
     # 2,211 splits of a 12-qubit state: one unchunked gather would hold
-    # about 580 MB, a chunk holds two splits (512 KiB)
+    # about 580 MB; each of its 11 tasks forms terms in blocks of 512 KiB
     psi = random_pure(np.random.default_rng(12), 12)
     tracemalloc.start()
     try:
