@@ -39,10 +39,10 @@ from .states import (
 )
 
 def _parse_labels(text: str, flag: str, sep: str = ",") -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.replace(sep, ",").split(","))  # commas split a --weights key too
-    except ValueError:
-        raise ValueError(f"{flag} expects {'comma' if sep == ',' else 'dash'}-separated integers, got {text!r}") from None
+    parts = text.split(sep)
+    if not all(part.isascii() and part.isdigit() for part in parts):  # int() also reads "1_0", "+2", " 1", "١"
+        raise ValueError(f"{flag} expects {'comma' if sep == ',' else 'dash'}-separated integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, BunchPartition]:

@@ -45,10 +45,9 @@ def capacity_caps() -> tuple[int, int]:
     raw = os.environ.get(CAPACITY_ENV)
     if raw is None:
         return MAX_MIXED_QUBITS, MAX_PURE_QUBITS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{CAPACITY_ENV} must be an integer, got {raw!r}") from None
+    if not (raw.isascii() and raw.isdigit()):  # int() also reads "9_0", " 9", "٩"
+        raise ValueError(f"{CAPACITY_ENV} must be an integer, got {raw!r}")
+    value = int(raw)
     if value < 1:
         raise ValueError(f"{CAPACITY_ENV} must be positive, got {value}")
     return value, value

@@ -539,11 +539,23 @@ def test_molecule_weights_must_be_an_object(weights, capsys):
     assert capsys.readouterr() == ("", "error: --weights must be a JSON object\n")
 
 
-@pytest.mark.parametrize("key", ["1-x", "1--2", "1-2,x"])
+@pytest.mark.parametrize("key", ["1-x", "1--2", "1-2,x", "1,2,3", "1_0-2-3", "+1-2-3", " 1-2-3", "\u0661-2-3"])
 def test_molecule_weights_key_is_named_as_given(key, capsys):
-    # the message quotes the key as written, not with its dashes made commas
+    # keys are dash-separated ASCII digits, quoted as written in the message
     assert main(["build", "molecule", "--m", "4", "--n", "3", "--w", "1", "--weights", json.dumps({key: 1.0})]) == 2
     assert capsys.readouterr() == ("", f"error: --weights key expects dash-separated integers, got {key!r}\n")
+
+
+@pytest.mark.parametrize("label", ["1_0", "+2", " 1", "\u0661", "1,", ""])
+def test_labels_are_ascii_digits(label, ghz3, capsys):
+    # int() alone would read "1_0" as 10, "+2" as 2, " 1" and an Arabic-Indic one as 1
+    for flag, argv in (
+        ("--a", ["eof", ghz3, "--a", label, "--b", "2"]),
+        ("--b", ["eof", ghz3, "--a", "2", "--b", label]),
+        ("--subset", ["build", "embedded", "--m", "3", "--subset", label, "--w", "1"]),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} expects comma-separated integers, got {label!r}\n")
 
 
 def test_uniform_molecule_meets_cap_and_size_before_listing(capsys):

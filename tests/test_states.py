@@ -510,6 +510,10 @@ def test_capacity_env_override(monkeypatch):
     monkeypatch.setenv("BUNCHENT_MAX_QUBITS", "0")
     with pytest.raises(ValueError):
         capacity_caps()
+    for raw in ("9_0", " 9", "\u0669", "+9", "9 "):  # int() alone reads each as 90 or 9
+        monkeypatch.setenv("BUNCHENT_MAX_QUBITS", raw)
+        with pytest.raises(ValueError, match=f"^BUNCHENT_MAX_QUBITS must be an integer, got {re.escape(repr(raw))}$"):
+            capacity_caps()
 
 
 # ---------------------------------------------------------------------------
