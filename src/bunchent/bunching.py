@@ -16,22 +16,24 @@ column weights: it sums each group's rows in one order into one result,
 reads a pure state's amplitudes undensified, and alone bounds the terms it
 forms, in blocks of at most _GATHER_ENTRIES = 2^15 entries (512 KiB) at
 any qubit count. partial_trace, the first stage, gathers the outsiders'
-rows against the kept qubits' columns. _plan reads labels alone, sizes
-tasks by the sums and row offsets they keep, and owns the route rule: two
-or more splits that share a union of k <= 7 qubits (4^k <= 2^15) read
-their blocks at _union_positions from the union's partial trace; every
-other split gathers its flip and outsider rows (_split_weights) against
-its four columns, to the same bits. _split_blocks runs the plan for
-bunch_reduce, eof_bunches and survey after a freed 1 MiB block lifts
-glibc's mmap and trim thresholds, so chunk temporaries stay in the heap.
-The projector route is a test reference; data is checked where it enters.
+rows against the kept qubits' columns. Splits travel as (bunch A, bunch B)
+label tuples, which _split_labels lists in enumerate_partitions' order.
+_plan reads labels alone, sizes tasks by the sums and row offsets they keep,
+and owns the route rule: two or more splits that share a union of k <= 7
+qubits (4^k <= 2^15) read their blocks at _union_positions from the union's
+partial trace; every other split gathers its flip and outsider rows
+(_split_weights) against its four columns, to the same bits. _split_blocks
+runs the plan for bunch_reduce, eof_bunches and survey after a freed 1 MiB
+block lifts glibc's mmap and trim thresholds, so chunk temporaries stay in
+the heap, and yields each task's blocks and etas as arrays. The projector
+route is a test reference; data is checked where it enters.
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from itertools import chain, combinations, product
+from itertools import chain, combinations, product, repeat
 from math import comb
 from typing import Sequence
 
@@ -229,18 +231,18 @@ def _pattern_weights(blocks: np.ndarray) -> np.ndarray:
     return np.where(etas < _ETA_FLOOR, 0.0, etas)
 
 
-def _plan(n: int, partitions: list[BunchPartition]):
-    """The gather tasks of splits on n qubits, lazily, by the module's route rule:
-    per task (members, rows, columns, groups, index), its indices into
-    `partitions`, _gather_sums' arguments and its (S, P, 4, 4) block positions
-    on the union route, else None. A task takes as many items (unions or splits)
-    as keep its sums and its row offsets each within _GATHER_ENTRIES, and leaves
-    the terms it forms to _gather_sums. A label beyond n raises at the first next()."""
+def _plan(n: int, splits: list[tuple]):
+    """The gather tasks of label pairs on n qubits, lazily, by the module's route rule:
+    per task (members, rows, columns, groups, index), its indices into `splits`,
+    _gather_sums' arguments and its (S, P, 4, 4) block positions on the union
+    route, else None. A task takes as many items (unions or splits) as keep its sums
+    and its row offsets each within _GATHER_ENTRIES, and leaves the terms it forms
+    to _gather_sums. A label beyond n raises at the first next()."""
     unions: dict[tuple[int, ...], list[int]] = {}
-    for k, partition in enumerate(partitions):
-        union = tuple(sorted(partition.labels))
+    for k, (a, b) in enumerate(splits):
+        union = tuple(sorted(a + b))
         if union[-1] > n:
-            raise ValueError(f"partition labels {partition.labels} exceed the state's {n} qubits")
+            raise ValueError(f"partition labels {a + b} exceed the state's {n} qubits")
         unions.setdefault(union, []).append(k)
     tasks: dict[tuple[bool, int], list] = {}  # (union route?, union size): its unions, or its splits
     for union, indices in unions.items():
@@ -253,32 +255,32 @@ def _plan(n: int, partitions: list[BunchPartition]):
             if shared:
                 placed = [(c, k) for c, union in enumerate(chunk) for k in unions[union]]
                 ranks = [{x: r for r, x in enumerate(union)}.__getitem__ for union in chunk]
-                index = np.array([_union_positions(tuple(map(ranks[c], partitions[k].bunch_a)),
-                                                   tuple(map(ranks[c], partitions[k].bunch_b))) for c, k in placed])
+                index = np.array([_union_positions(tuple(map(ranks[c], splits[k][0])),
+                                                   tuple(map(ranks[c], splits[k][1]))) for c, k in placed])
                 index += np.array([c for c, _ in placed])[:, None, None, None] << 2 * size
                 members = [k for _, k in placed]
                 rows = [_outsider_weights(union, n) for union in chunk]
                 columns = [[1 << (n - x) for x in union] for union in chunk]
             else:
                 members, rows, columns, index = chunk, [], [], None
-                for p in (partitions[k] for k in chunk):  # one union size: one pattern count
-                    *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (p.bunch_a, p.bunch_b)))
-                    rows.append(flips + _outsider_weights(p.labels, n))
+                for a, b in (splits[k] for k in chunk):  # one union size: one pattern count
+                    *flips, fa, fb = _split_weights(*([1 << (n - x) for x in bunch] for bunch in (a, b)))
+                    rows.append(flips + _outsider_weights(a + b, n))
                     columns.append([fa, fb])
             yield members, rows, columns, 0 if shared else size - 2, index
 
 
-def _split_blocks(state: StateVector | DensityMatrix, partitions: list[BunchPartition]):
+def _split_blocks(state: StateVector | DensityMatrix, splits: list[tuple]):
     """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4)
-    pattern blocks of its splits and their _pattern_weights as lists. Tasks
+    pattern blocks of its splits and their (S, P) _pattern_weights. Tasks
     are independent. Each allocates its index table, gather result and
     reshape in that order, the result after the gather's first block."""
     np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
-    for members, rows, columns, groups, index in _plan(state.n_qubits, partitions):
+    for members, rows, columns, groups, index in _plan(state.n_qubits, splits):
         blocks = _gather_sums(state, rows, columns, groups)
         # rebound here, so the union's reduced states are freed before the yield
         blocks = blocks.reshape(len(members), -1, 4, 4) if index is None else blocks.reshape(-1)[index]
-        yield members, blocks, _pattern_weights(blocks).tolist()
+        yield members, blocks, _pattern_weights(blocks)
 
 
 def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:
@@ -287,10 +289,10 @@ def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    ((_, (blocks,), (etas,)),) = _split_blocks(state, [partition])  # one split: one chunk
+    ((_, (blocks,), (etas,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
     components = tuple(
         ReductionComponent(p, eta, _trusted(DensityMatrix, n_qubits=2, entries=block / eta) if eta else None)
-        for p, block, eta in zip(enumerate_patterns(partition), blocks, etas)
+        for p, block, eta in zip(enumerate_patterns(partition), blocks, etas.tolist())
     )
     return BunchReduction(partition, _trusted(DensityMatrix, n_qubits=2, entries=blocks.sum(axis=0)), components)
 
@@ -317,15 +319,8 @@ def _subsets(labels: tuple[int, ...], cap: int) -> list[tuple[int, ...]]:
     return sorted(chain.from_iterable(combinations(labels, k) for k in range(1, min(cap, len(labels)) + 1)))
 
 
-def enumerate_partitions(
-    n_qubits: int, max_bunch: int | None = None, full_cover: bool = False
-) -> list[BunchPartition]:
-    """All unordered bunch pairs on 1..n_qubits, anchors at the lowest labels.
-
-    Each pair appears once with the lexicographically smaller bunch first,
-    and the list is sorted by (bunch_a, bunch_b). `max_bunch` caps the size
-    of either bunch; `full_cover` keeps only pairs covering every qubit.
-    """
+def _split_labels(n_qubits: int, max_bunch: int | None, full_cover: bool) -> list[tuple]:
+    """The pairs of enumerate_partitions, in its order, as (bunch A, bunch B) label tuples."""
     if n_qubits < 2:
         raise ValueError(f"need at least 2 qubits to split, got {n_qubits}")
     cap = n_qubits if max_bunch is None else operator.index(max_bunch)
@@ -337,10 +332,20 @@ def enumerate_partitions(
         # bunch B draws from the labels above A's anchor that A leaves
         rest = tuple(x for x in labels if x > a[0] and x not in a)
         if not full_cover:
-            found.extend(_trusted(BunchPartition, bunch_a=a, bunch_b=b) for b in _subsets(rest, cap))
+            found.extend(zip(repeat(a), _subsets(rest, cap)))
         elif a[0] == 1 and 0 < len(rest) <= cap:
-            found.append(_trusted(BunchPartition, bunch_a=a, bunch_b=rest))
+            found.append((a, rest))
     return found
+
+
+def enumerate_partitions(n_qubits: int, max_bunch: int | None = None, full_cover: bool = False) -> list[BunchPartition]:
+    """All unordered bunch pairs on 1..n_qubits, anchors at the lowest labels.
+
+    Each pair appears once with the lexicographically smaller bunch first,
+    and the list is sorted by (bunch_a, bunch_b). `max_bunch` caps the size
+    of either bunch; `full_cover` keeps only pairs covering every qubit.
+    """
+    return [_trusted(BunchPartition, bunch_a=a, bunch_b=b) for a, b in _split_labels(n_qubits, max_bunch, full_cover)]
 
 
 def _pattern_count(n_qubits: int, max_bunch: int | None, full_cover: bool) -> int:

@@ -4,11 +4,13 @@ This module is not a script. Its two launchers, the `bunchent` script and
 `python -m bunchent`, both run `main` through `bunchent.__main__.run`.
 
 The parser is the one table: each subparser carries its handler, `run` for a
-command and `make` for a build kind. A handler writes its output or raises, and
-`main` maps the exception to an exit code by `_EXIT_CODES`: 0 success, 2 usage
-or parameter error, 3 capacity exceeded, 4 invariant violation, 5 file I/O or
-format problem; one `error: ...` line on stderr. Argparse's own usage errors
-print its usage line and an `error: ...` line, and exit 2.
+command and `make` for a build kind; integer options and labels take ASCII
+digits only. A handler writes its output, `survey` from the survey's arrays in
+pieces of rows, or raises, and `main` maps the exception to an exit code by
+`_EXIT_CODES`: 0 success, 2 usage or parameter error, 3 capacity exceeded, 4
+invariant violation, 5 file I/O or format problem; one `error: ...` line on
+stderr. Argparse's own usage errors print its usage line and an `error: ...`
+line, and exit 2.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 
 from .bunching import BunchPartition, bunch_reduce, reduction_report
 from .errors import CapacityError, FileFormatError, InvariantError
-from .measures import eof_bunches, format_float, report_json_dict, survey, survey_csv, survey_json
+from .measures import _survey_table, _survey_text, eof_bunches, format_float, report_json_dict
 from .states import (
     DensityMatrix,
     StateVector,
@@ -45,6 +47,14 @@ def _parse_labels(text: str, flag: str, sep: str = ",") -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
+def _integer(text: str) -> int:
+    """Every integer option's type: ASCII digits as in labels, after at most one "-" (a value out
+    of range meets its command's own message)."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"expects an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, BunchPartition]:
     """The state and bunch pair of `reduce` and `eof`: labels parsed, pair checked, file loaded."""
     pair = BunchPartition(_parse_labels(args.a, "--a"), _parse_labels(args.b, "--b"))
@@ -53,17 +63,17 @@ def _split(args: argparse.Namespace) -> tuple[StateVector | DensityMatrix, Bunch
 
 @contextmanager
 def _output(path: str):
-    """Yield the writer of a command's output: stdout for "-", else one that replaces the file
-    at `path`. That file is opened for appending first, which creates a missing one and keeps an
-    existing one's bytes, so an unwritable path fails before the command computes; a file
-    created here is removed if the block raises."""
+    """Yield the writer of a command's output, which takes its text in pieces: stdout for "-",
+    else one that replaces the file at `path`. That file is opened for appending first, which
+    creates a missing one and keeps an existing one's bytes, so an unwritable path fails before
+    the command computes; a file created here is removed if the block raises."""
     if path == "-":
-        yield sys.stdout.write
+        yield sys.stdout.writelines
         return
 
-    def write(text: str) -> None:
+    def write(pieces) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
     created = not os.path.lexists(path)
     open(path, "a", encoding="utf-8").close()
@@ -78,7 +88,7 @@ def _output(path: str):
 
 def _cmd_build(args: argparse.Namespace) -> None:
     with _output(args.out) as write:
-        write(_state_text(args.make(args)))
+        write([_state_text(args.make(args))])
 
 
 def _basis(args: argparse.Namespace) -> StateVector:
@@ -108,7 +118,7 @@ def _molecule(args: argparse.Namespace) -> DensityMatrix:
 
 def _cmd_reduce(args: argparse.Namespace) -> None:
     with _output(args.out) as write:
-        write(json.dumps(reduction_report(bunch_reduce(*_split(args))), indent=2) + "\n")
+        write([json.dumps(reduction_report(bunch_reduce(*_split(args))), indent=2) + "\n"])
 
 
 def _cmd_eof(args: argparse.Namespace) -> None:
@@ -117,15 +127,14 @@ def _cmd_eof(args: argparse.Namespace) -> None:
     sys.stdout.write(f"eof {report.eof:.12f}\n")
     if args.out != "-":  # after the two lines, as README documents
         with _output(args.out) as write:
-            write(json.dumps(report_json_dict(report), indent=2) + "\n")
+            write([json.dumps(report_json_dict(report), indent=2) + "\n"])
 
 
 def _cmd_survey(args: argparse.Namespace) -> None:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     with _output(args.out) as write:
-        reports = survey(load_state(args.state), args.max_bunch, args.full_cover)
-        write(survey_csv(reports) if args.format == "csv" else survey_json(reports))
+        write(_survey_text(_survey_table(load_state(args.state), args.max_bunch, args.full_cover), args.format))
 
 
 def _cmd_check(args: argparse.Namespace) -> None:
@@ -150,21 +159,21 @@ def _parser() -> argparse.ArgumentParser:
     kinds = build.add_subparsers(dest="kind", required=True)
     ghz_p = kinds.add_parser("ghz")
     ghz_p.set_defaults(make=lambda args: ghz(args.n))
-    ghz_p.add_argument("--n", type=int, required=True, help="number of qubits")
+    ghz_p.add_argument("--n", type=_integer, required=True, help="number of qubits")
     bellw_p = kinds.add_parser("bellw")
     bellw_p.set_defaults(make=lambda args: bell_w_state(args.n, args.w))
-    bellw_p.add_argument("--n", type=int, required=True)
-    bellw_p.add_argument("--w", type=int, required=True, help="leading zeros in the first branch")
+    bellw_p.add_argument("--n", type=_integer, required=True)
+    bellw_p.add_argument("--w", type=_integer, required=True, help="leading zeros in the first branch")
     emb_p = kinds.add_parser("embedded")
     emb_p.set_defaults(make=lambda args: embedded_bell(args.m, _parse_labels(args.subset, "--subset"), args.w))
-    emb_p.add_argument("--m", type=int, required=True, help="total qubit count")
+    emb_p.add_argument("--m", type=_integer, required=True, help="total qubit count")
     emb_p.add_argument("--subset", required=True, help="ascending labels, e.g. 2,4")
-    emb_p.add_argument("--w", type=int, required=True)
+    emb_p.add_argument("--w", type=_integer, required=True)
     mol_p = kinds.add_parser("molecule")
     mol_p.set_defaults(make=_molecule)
-    mol_p.add_argument("--m", type=int, required=True)
-    mol_p.add_argument("--n", type=int, required=True, help="subset size")
-    mol_p.add_argument("--w", type=int, required=True)
+    mol_p.add_argument("--m", type=_integer, required=True)
+    mol_p.add_argument("--n", type=_integer, required=True, help="subset size")
+    mol_p.add_argument("--w", type=_integer, required=True)
     weighting = mol_p.add_mutually_exclusive_group(required=True)
     weighting.add_argument("--uniform", action="store_true", help="uniform weights over all subsets")
     weighting.add_argument("--weights", help='JSON object, e.g. {"1-2-3": 0.5, "2-3-4": 0.5}')
@@ -190,9 +199,9 @@ def _parser() -> argparse.ArgumentParser:
     reduce_p.add_argument("--out", default="-")
     eof_p.add_argument("--out", default="-", help="also write the report JSON here")
     survey_p.add_argument("--full-cover", action="store_true", help="only pairs covering every qubit")
-    survey_p.add_argument("--max-bunch", type=int, default=None)
+    survey_p.add_argument("--max-bunch", type=_integer, default=None)
     survey_p.add_argument("--format", default="csv", choices=["csv", "json"])
-    survey_p.add_argument("--jobs", type=int, default=1,
+    survey_p.add_argument("--jobs", type=_integer, default=1,
                           help="kept for compatibility; the survey runs in one process")
     survey_p.add_argument("--out", default="-")
     return parser

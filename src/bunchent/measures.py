@@ -7,9 +7,11 @@ square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
 C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
 h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
 decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
-stack of states: a survey reduces its splits in bounded chunks through
-bunching._split_blocks, then measures them all with one eigh and one svd.
-Its CSV and JSON tables are written directly, one template per record.
+stack of states. A survey keeps its splits and results in arrays: the
+chunks of bunching._split_blocks fill one (S, 4, 4) stack, which one eigh
+and one svd measure, and one flat float64 store of etas. One writer per
+format turns the arrays into CSV or JSON text in pieces of rows; survey's
+reports and survey_csv's text are built from the same arrays.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import math
 
 import numpy as np
 
-from .bunching import BunchPartition, _pattern_count, _split_blocks, enumerate_partitions
+from .bunching import BunchPartition, _pattern_count, _split_blocks, _split_labels
 from .errors import CapacityError
-from .states import _CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector, _Record
+from .states import (_CHAIN_EIG_FLOOR, _ENTROPY_SLACK, _LOG_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector,
+                     _Record, _trusted)
 
 # sigma_y (x) sigma_y; real because the i factors cancel pairwise
 _SPIN_FLIP = np.array(
@@ -75,17 +78,16 @@ def concurrence(rho) -> float:
     return eof(rho).concurrence
 
 
-def _reports(lambdas: np.ndarray, partitions: list, etas: list) -> list[EntanglementReport]:
-    """One report per row of a (S, 4) stack of descending lambdas; C and
-    the entropy argument are taken for the whole stack at once."""
+def _chain(stack: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """The (S,) C, the EoF list and the (S, 4) descending lambdas of a (S, 4, 4) stack of
+    states; C and the entropy argument are taken for the whole stack at once."""
+    lambdas = _spin_flip_spectrum(stack)
     # l1 - l2 - l3 - l4 from the left; 0.0 second, since np.maximum(0.0, -0.0)
     # is -0.0 and np.maximum(-0.0, 0.0) is 0.0, as max(0.0, -0.0) is
     conc = np.maximum(np.minimum(np.subtract.reduce(lambdas, axis=1), 1.0), 0.0)
     arg = (np.sqrt(1.0 - conc * conc) + 1.0) / 2.0  # conc <= 1, so conc^2 <= 1
-    rows = zip(conc.tolist(), arg.tolist(), lambdas.tolist(), partitions, etas)
     # binary_entropy keeps math.log2, whose bits np.log2 need not match; at 1.0 it gives 0.0
-    return [EntanglementReport(c, binary_entropy(x) if x < 1.0 else 0.0, tuple(lam), part, eta)
-            for c, x, lam, part, eta in rows]
+    return conc, [binary_entropy(x) if x < 1.0 else 0.0 for x in arg.tolist()], lambdas
 
 
 def eof(rho) -> EntanglementReport:
@@ -94,43 +96,55 @@ def eof(rho) -> EntanglementReport:
         rho = DensityMatrix(2, rho)
     if rho.n_qubits != 2:
         raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
-    return _reports(_spin_flip_spectrum(rho.entries[None]), [None], [None])[0]
+    (c,), (e,), (lambdas,) = _chain(rho.entries[None])
+    return EntanglementReport(c.item(), e, tuple(lambdas.tolist()))
 
 
-def _measure_splits(
-    state: StateVector | DensityMatrix, partitions: list[BunchPartition]
-) -> list[EntanglementReport]:
-    """Reports for a list of splits, in order: each chunk of
-    bunching._split_blocks fills its splits' rows of one stack of rho_ab,
-    and one chain runs on the whole stack."""
-    stack = np.empty((len(partitions), 4, 4), dtype=np.complex128)
-    etas: list = [None] * len(partitions)
-    for members, blocks, weights in _split_blocks(state, partitions):
-        for k, rho_ab, row in zip(members, blocks.sum(axis=1), weights):
-            stack[k], etas[k] = rho_ab, tuple(row)
-    return _reports(_spin_flip_spectrum(stack), partitions, etas)
+def _measure_splits(state: StateVector | DensityMatrix, splits: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (heads, etas, offsets) of (bunch A, bunch B) label pairs: the (S, 6) rows C, EoF,
+    l1..l4 of one stack that the chunks of bunching._split_blocks fill, and one flat store
+    that holds split k's 2^(m + n - 2) etas at offsets[k]:offsets[k + 1]."""
+    offsets = np.cumsum([0, *(1 << len(a) + len(b) - 2 for a, b in splits)])
+    stack, etas = np.empty((len(splits), 4, 4), dtype=np.complex128), np.empty(offsets[-1])
+    for members, blocks, weights in _split_blocks(state, splits):
+        stack[members] = blocks.sum(axis=1)
+        etas[offsets[members][:, None] + np.arange(weights.shape[1])] = weights
+    return np.column_stack(_chain(stack)), etas, offsets
 
 
-def eof_bunches(
-    state: StateVector | DensityMatrix, partition: BunchPartition
-) -> EntanglementReport:
+def eof_bunches(state: StateVector | DensityMatrix, partition: BunchPartition) -> EntanglementReport:
     """Reduce onto a bunch pair and measure the resulting two-qubit state."""
-    return _measure_splits(state, [partition])[0]
+    ((_, (blocks,), (etas,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
+    (c,), (e,), (lambdas,) = _chain(blocks.sum(axis=0)[None])
+    return EntanglementReport(c.item(), e, tuple(lambdas.tolist()), partition, tuple(etas.tolist()))
 
 
-def survey(
-    state: StateVector | DensityMatrix, max_bunch: int | None = None, full_cover: bool = False
-) -> list[EntanglementReport]:
-    """Measure every bunch pair of a state, in enumeration order, within MAX_SURVEY_PATTERNS."""
+def _survey_table(state: StateVector | DensityMatrix, max_bunch: int | None, full_cover: bool) -> tuple:
+    """A survey within MAX_SURVEY_PATTERNS as (splits, heads, etas, offsets): its label pairs in
+    enumeration order, then _measure_splits' arrays."""
     if (count := _pattern_count(state.n_qubits, max_bunch, full_cover)) > MAX_SURVEY_PATTERNS:
         raise CapacityError(f"a survey of {count} pattern weights exceeds the cap of {MAX_SURVEY_PATTERNS}; "
                             "lower --max-bunch")
-    return _measure_splits(state, enumerate_partitions(state.n_qubits, max_bunch, full_cover))
+    splits = _split_labels(state.n_qubits, max_bunch, full_cover)
+    return (splits, *_measure_splits(state, splits))
+
+
+def survey(state: StateVector | DensityMatrix, max_bunch: int | None = None,
+           full_cover: bool = False) -> list[EntanglementReport]:
+    """Measure every bunch pair of a state, in enumeration order, within MAX_SURVEY_PATTERNS."""
+    splits, heads, etas, offsets = _survey_table(state, max_bunch, full_cover)
+    etas, bounds = etas.tolist(), offsets.tolist()
+    return [EntanglementReport(c, e, tuple(lam), _trusted(BunchPartition, bunch_a=a, bunch_b=b), tuple(etas[lo:hi]))
+            for (c, e, *lam), (a, b), lo, hi in zip(heads.tolist(), splits, bounds, bounds[1:])]
 
 
 # ---------------------------------------------------------------------------
-# report serialization. Survey writers fill one template per record; json writes a number as
-# repr(float(format_float(x))): for 0 and 1e-300 <= |x| < 1e11, %.12g plus ".0" if no "." or "e".
+# report serialization. One writer per format turns a survey's arrays into text; survey_csv runs
+# the CSV one on reports. json writes a number as repr(float(format_float(x))): for 0 and
+# 1e-300 <= |x| < 1e11, %.12g plus ".0" if no "." or "e".
+
+_PIECE_ETAS = 2 ** 15  # etas a writer formats at once (one row at least): about 0.5 MB of CSV, 1 MB of JSON
+
 
 def format_float(x: float) -> str:
     """Decimal form with 12 significant digits."""
@@ -152,42 +166,65 @@ def report_json_dict(report: EntanglementReport) -> dict:
     return payload
 
 
-def survey_csv(reports: list[EntanglementReport]) -> str:
-    """CSV table of survey results.
-
-    Bunches are dash-joined label runs and eta_list is semicolon-joined,
-    so every row stays a flat comma-separated record.
-    """
-    lines = ["bunch_a,bunch_b,m,n,concurrence,eof,eta_list"]
-    for rep in reports:
-        part = rep.partition
-        if part is None or rep.etas is None:
-            raise ValueError("survey rows need partition context")
-        row = "%s,%s,%d,%d,%.12g,%.12g," + ";".join(["%.12g"] * len(rep.etas))
-        lines.append(row % ("-".join(map(str, part.bunch_a)), "-".join(map(str, part.bunch_b)),
-                            part.m, part.n, rep.concurrence, rep.eof, *rep.etas))
-    return "\n".join(lines) + "\n"
-
-
 def _json_list(items) -> str:
     return "[\n      " + ",\n      ".join(map(str, items)) + "\n    ]" if items else "[]"
+
+
+def _json_numbers(values: np.ndarray) -> list[str]:
+    """The text json gives each value rounded to 12 significant digits, by the rule above."""
+    text = [s if "." in s or "e" in s else s + ".0" for s in ("%.12g " * len(values) % tuple(values.tolist())).split()]
+    size = np.abs(values)
+    for k in np.flatnonzero(~((size >= 1e-300) & (size < 1e11) | (values == 0.0))).tolist():
+        text[k] = json.dumps(float(format_float(values[k])))
+    return text
 
 
 _JSON_RECORD = ('  {\n    "concurrence": %s,\n    "eof": %s,\n    "lambdas": %s,\n'
                 '    "bunch_a": %s,\n    "bunch_b": %s,\n    "etas": %s\n  }')
 
 
-def survey_json(reports: list[EntanglementReport]) -> str:
-    """Survey results as JSON: json.dumps(report_json_dict records, indent=2) + newline."""
-    records = []
-    for rep in reports:
-        part = rep.partition
-        if part is None or rep.etas is None:
-            raise ValueError("survey rows need partition context")
-        values = (rep.concurrence, rep.eof, *rep.lambdas, *rep.etas)
-        text = [(s if "." in s or "e" in s else s + ".0")
-                if 1e-300 <= abs(x) < 1e11 or x == 0.0 else json.dumps(float(s))
-                for x, s in zip(values, ("%.12g " * len(values) % values).split())]
-        lists = map(_json_list, (text[2:6], part.bunch_a, part.bunch_b, text[6:]))
-        records.append(_JSON_RECORD % (text[0], text[1], *lists))
-    return "[\n" + ",\n".join(records) + "\n]\n" if records else "[]\n"
+def _survey_text(table: tuple, fmt: str):
+    """A survey's (splits, heads, etas, offsets) as CSV or JSON text, in pieces of whole rows in
+    order, each of at most _PIECE_ETAS etas (one row at least). A piece fills its rows' templates
+    by one % over their values in writing order: each row's leading heads (C and EoF, then the
+    lambdas in JSON), then its etas. The first piece opens with the head and the last ends with
+    the tail, so a table of one piece is one write, as a whole text was. In CSV, bunches are
+    dash-joined label runs and eta_list is semicolon-joined, so every row stays a flat
+    comma-separated record; JSON is json.dumps of report_json_dict records, indent=2, and "\n"."""
+    splits, heads, etas, offsets = table
+    sizes, bunches = np.diff(offsets).tolist(), {x for split in splits for x in split}
+    if fmt == "csv":
+        runs = {x: "-".join(map(str, x)) for x in bunches}
+        lists = {k: ";".join(["%.12g"] * k) for k in set(sizes)}
+        head, sep, tail, width, numbers = "bunch_a,bunch_b,m,n,concurrence,eof,eta_list\n", "", "", 2, np.ndarray.tolist
+        record = lambda ab, k: f"{runs[ab[0]]},{runs[ab[1]]},{len(ab[0])},{len(ab[1])},%.12g,%.12g,{lists[k]}\n"
+    else:
+        runs = {x: _json_list(x) for x in bunches}
+        lists = {k: _json_list(["%s"] * k) for k in {4, *sizes}}  # 4: the lambdas
+        head, sep, tail, width, numbers = "[\n", ",\n", "\n]\n", 6, _json_numbers
+        record = lambda ab, k: _JSON_RECORD % ("%s", "%s", lists[4], runs[ab[0]], runs[ab[1]], lists[k])
+    if not splits:
+        yield head if fmt == "csv" else "[]\n"
+    bounds, lo = offsets.tolist(), 0
+    while lo < len(splits):
+        hi = max(lo + 1, int(offsets.searchsorted(bounds[lo] + _PIECE_ETAS, "right")) - 1)
+        at = np.repeat(offsets[lo:hi] - bounds[lo], width)  # np.insert keeps equal positions in order
+        values = np.insert(etas[bounds[lo]:bounds[hi]], at, heads[lo:hi, :width].ravel())
+        rows = sep.join(map(record, splits[lo:hi], sizes[lo:hi])) % tuple(numbers(values))
+        yield (sep if lo else head) + rows + (tail if hi == len(splits) else "")
+        lo = hi
+
+
+def _table(reports: list[EntanglementReport]) -> tuple:
+    """The (splits, heads, etas, offsets) of survey reports, as _survey_table gives them."""
+    if any(rep.partition is None or rep.etas is None for rep in reports):
+        raise ValueError("survey rows need partition context")
+    heads = np.array([(rep.concurrence, rep.eof, *rep.lambdas) for rep in reports], dtype=float).reshape(-1, 6)
+    offsets = np.cumsum([0, *(len(rep.etas) for rep in reports)])
+    etas = np.array([eta for rep in reports for eta in rep.etas], dtype=float)
+    return [(rep.partition.bunch_a, rep.partition.bunch_b) for rep in reports], heads, etas, offsets
+
+
+def survey_csv(reports: list[EntanglementReport]) -> str:
+    """CSV table of survey results, the text the CLI writes for the same rows."""
+    return "".join(_survey_text(_table(reports), "csv"))

@@ -25,7 +25,7 @@ from .errors import CapacityError, FileFormatError, InvariantError
 
 MAX_MIXED_QUBITS = 10
 MAX_PURE_QUBITS = 16
-MAX_SURVEY_PATTERNS = 2 ** 24  # pattern weights a survey keeps, about 100 B each: 1.7 GB
+MAX_SURVEY_PATTERNS = 2 ** 24  # pattern weights a survey keeps, 8 B each, beside about 1.4 KB a split
 CAPACITY_ENV = "BUNCHENT_MAX_QUBITS"
 
 # every tolerance and floor of the package

@@ -16,6 +16,7 @@ import numpy as np
 from bunchent import (
     BunchPartition,
     DensityMatrix,
+    EntanglementReport,
     PatternPair,
     StateVector,
     densify,
@@ -26,7 +27,7 @@ from bunchent import (
     mix,
     normalize,
 )
-from bunchent.measures import _SPIN_FLIP
+from bunchent.measures import _SPIN_FLIP, _measure_splits
 
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -110,6 +111,19 @@ def entangled_mixture(rng: np.random.Generator, n_qubits: int, subset: list[int]
     else:
         branch = embedded_bell(n_qubits, subset, int(rng.integers(1, len(subset))))
     return mix([(0.85, branch), (0.15, random_mixed(rng, n_qubits, 2))])
+
+
+def label_pairs(parts: list[BunchPartition]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Splits as the (bunch A, bunch B) label tuples the survey's internals take."""
+    return [(p.bunch_a, p.bunch_b) for p in parts]
+
+
+def measured(state, parts: list[BunchPartition]) -> list:
+    """The reports a survey makes of `parts`: one table of arrays, then a report per row."""
+    heads, etas, offsets = _measure_splits(state, label_pairs(parts))
+    etas, bounds = etas.tolist(), offsets.tolist()
+    return [EntanglementReport(c, e, tuple(lambdas), p, tuple(etas[lo:hi]))
+            for (c, e, *lambdas), p, lo, hi in zip(heads.tolist(), parts, bounds, bounds[1:])]
 
 
 def random_partition(rng: np.random.Generator, n_qubits: int) -> BunchPartition:

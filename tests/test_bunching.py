@@ -28,12 +28,13 @@ from bunchent import (
 )
 from bunchent import bunching, measures
 from bunchent.bunching import _pattern_count, _pattern_weights, _plan, _split_blocks, _union_positions
-from bunchent.measures import _measure_splits
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
     build_projector,
     compress_operator,
+    label_pairs,
     logical_index,
+    measured,
     oracle_blocks,
     ordered_reduction,
     random_mixed,
@@ -219,8 +220,8 @@ def test_derived_states_meet_contract(seed, n, rank):
             assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
 
     # a pure state gathers amplitudes, never densified, to the same bits
-    ((_, from_amplitudes, _),) = _split_blocks(psi, [part])
-    ((_, from_entries, _),) = _split_blocks(pure, [part])
+    ((_, from_amplitudes, _),) = _split_blocks(psi, label_pairs([part]))
+    ((_, from_entries, _),) = _split_blocks(pure, label_pairs([part]))
     assert from_amplitudes.tobytes() == from_entries.tobytes()
     from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
     assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
@@ -269,13 +270,13 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
     ) as chain, mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
         if shared and count > 1:  # every split read from its union's partial trace
-            assert all(index is not None for *_, index in _plan(n, splits))
-        reports = _measure_splits(state, splits)
+            assert all(index is not None for *_, index in _plan(n, label_pairs(splits)))
+        reports = measured(state, splits)
         batch = [None] * len(splits)
-        for members, blocks, _ in _split_blocks(state, splits):
+        for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
             for k, split_blocks in zip(members, blocks):
                 batch[k] = split_blocks
-        alone = [next(_split_blocks(state, [part]))[1][0] for part in splits]
+        alone = [next(_split_blocks(state, label_pairs([part])))[1][0] for part in splits]
     stack = chain.call_args.args[0]
 
     def bits(x):
@@ -325,10 +326,10 @@ def test_blocks_of_term_rows_keep_the_bits(seed, k, outsiders, pure, zeros, shar
     want = partial_trace(state, keep).entries
     with mock.patch.object(bunching, "_GATHER_ENTRIES", traced_budget):
         assert np.array_equal(bits(partial_trace(state, keep).entries), bits(want))
-    unsplit = [next(_split_blocks(state, [part]))[1][0] for part in splits]
+    unsplit = [next(_split_blocks(state, label_pairs([part])))[1][0] for part in splits]
     with mock.patch.object(bunching, "_GATHER_ENTRIES", split_budget):
         batch = [None] * len(splits)
-        for members, blocks, _ in _split_blocks(state, splits):
+        for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
             for m, split_blocks in zip(members, blocks):
                 batch[m] = split_blocks
     for part, got, whole in zip(splits, batch, unsplit):
@@ -356,9 +357,9 @@ def test_plan_routes_and_chunks_every_split(seed, n, pool, count, budget):
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
     sharing = Counter(frozenset(p.labels) for p in splits)
     with mock.patch.object(bunching, "_GATHER_ENTRIES", 2 ** budget):
-        tasks = list(_plan(n, splits))
+        tasks = list(_plan(n, label_pairs(splits)))
         with pytest.raises(ValueError, match="exceed"):  # before the first task
-            next(_plan(n, [*splits, BunchPartition((1,), (n + 1,))]))
+            next(_plan(n, label_pairs([*splits, BunchPartition((1,), (n + 1,))])))
     assert sorted(k for members, *_ in tasks for k in members) == list(range(count))
     for members, rows, columns, _, index in tasks:
         size = len(splits[members[0]].labels)
@@ -380,7 +381,7 @@ def test_readme_survey_counts_from_the_plan():
     # README: a 10-qubit --max-bunch 2 survey has 1,035 splits over 375
     # unions; 990 of them share 330 unions, and the other 45 reduce alone
     splits = enumerate_partitions(10, 2)
-    tasks = list(_plan(10, splits))
+    tasks = list(_plan(10, label_pairs(splits)))
     assert (len(splits), len({frozenset(p.labels) for p in splits})) == (1035, 375)
     shared = [(members, rows) for members, rows, *_, index in tasks if index is not None]
     assert sum(len(members) for members, _ in shared) == 990
@@ -402,7 +403,7 @@ def test_split_blocks_read_the_partial_trace_of_their_union(rng, pure):
     # partial_trace onto its union read at _union_positions, to the bit
     state = random_pure(rng, 6) if pure else random_mixed(rng, 6)
     splits = enumerate_partitions(6, 2)
-    for members, blocks, _ in _split_blocks(state, splits):
+    for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
         for k, got in zip(members, blocks):
             union = sorted(splits[k].labels)
             ranks = [tuple(map(union.index, bunch)) for bunch in (splits[k].bunch_a, splits[k].bunch_b)]
@@ -429,12 +430,12 @@ def test_bunch_reduce_rejects_out_of_range(rng):
     # a batch raises for its bad split, gathered apart from or with a good one
     for good in (BunchPartition((1,), (2, 3)), BunchPartition((1,), (2,))):
         with pytest.raises(ValueError, match="exceed"):
-            _measure_splits(rho, [good, BunchPartition((1,), (4,))])
+            measured(rho, [good, BunchPartition((1,), (4,))])
     # and beside two splits that share a union, before that union is reduced
     shared = [BunchPartition((1,), (2, 3)), BunchPartition((1, 2), (3,))]
     with mock.patch.object(bunching, "_gather_sums") as gather:
         with pytest.raises(ValueError, match=r"\(2, 4\) exceed"):
-            _measure_splits(rho, [*shared, BunchPartition((2,), (4,))])
+            measured(rho, [*shared, BunchPartition((2,), (4,))])
     assert gather.call_count == 0
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -293,7 +294,7 @@ def test_exit_code_capacity(tmp_path, capsys):
     # cap not hold, the survey stops at enumeration instead of running out of memory
     path = tmp_path / "ghz16.json"
     assert main(["build", "ghz", "--n", "16", "--out", str(path)]) == 0
-    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")):
+    with mock.patch.object(measures, "_split_labels", side_effect=AssertionError("enumerated")):
         assert main(["survey", str(path)]) == 3
     assert capsys.readouterr().err == (
         "error: a survey of 19062724648 pattern weights exceeds the cap of 16777216; lower --max-bunch\n")
@@ -616,7 +617,7 @@ def test_exit_table_row(kind, argv, code, stdout, ghz3, tmp_path, capsys):
 
 def test_out_fails_before_the_survey(ghz3, capsys):
     # an --out that cannot be opened stops survey before a split is listed
-    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")) as listed:
+    with mock.patch.object(measures, "_split_labels", side_effect=AssertionError("enumerated")) as listed:
         assert main(["survey", ghz3, "--out", "/nonexistent/x"]) == 5
     listed.assert_not_called()
     assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: '/nonexistent/x'\n"
@@ -716,14 +717,75 @@ def test_module_entry_point(tmp_path):
     )
     assert run.returncode == 0
     assert run.stdout == "concurrence 1.000000000000\neof 1.000000000000\n"
-    # the entry turns the collector back on after freezing the start-up heap
-    code = ("import gc, json, sys\nfrom bunchent.__main__ import run\n"
+    # the entry turns the collector back on after freezing the start-up heap, and ends the
+    # process with os._exit once stdout is flushed (replaced here, so its arguments show)
+    code = ("import gc, json, os, sys\nfrom bunchent.__main__ import run\n"
+            "os._exit = lambda code: print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))\n"
             f"sys.argv = ['bunchent', 'survey', {str(path)!r}, '--out', {str(tmp_path / 's.csv')!r}]\n"
-            "print(json.dumps([run(), gc.isenabled(), gc.get_freeze_count() > 0]))")
+            "run()")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert json.loads(run.stdout) == [0, True, True], run.stderr
-    # and changes no byte of what main() prints: a survey, a label beyond the state, a usage error
+    # and changes no byte or exit code of what main() prints: a survey, a label beyond the state,
+    # a usage error, a capacity error
     for argv in (["survey", str(path)], ["eof", str(path), "--a", "1", "--b", "9"],
-                 ["survey", str(path), "--format", "xml"]):
+                 ["survey", str(path), "--format", "xml"], ["build", "ghz", "--n", "17"]):
         run = subprocess.run([sys.executable, "-m", "bunchent", *argv], capture_output=True, text=True)
         assert (run.returncode, run.stdout, run.stderr) == _main_bytes(argv)
+    # with no stdout at all (its descriptor closed), a command that writes a file still succeeds
+    script = 'exec "$0" -m bunchent survey "$1" --out "$2" >&-'
+    run = subprocess.run(["sh", "-c", script, sys.executable, str(path), str(tmp_path / "closed.csv")],
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert (tmp_path / "closed.csv").read_text() == _main_bytes(["survey", str(path)])[1]
+
+
+@pytest.mark.parametrize("argv, code, stderr", [
+    # larger than a pipe's buffer: the write raises, main reports it, nothing is left to flush
+    (["survey", "{ghz8}"], 5, "error: [Errno 32] Broken pipe\n"),
+    (["survey", "{ghz8}", "--format", "json"], 5, "error: [Errno 32] Broken pipe\n"),
+    # smaller: main succeeds, the flush raises, and Python's shutdown reports it as it did
+    (["survey", "{ghz8}", "--max-bunch", "1"], 120,
+     "Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+     "BrokenPipeError: [Errno 32] Broken pipe\n"),
+], ids=["csv", "json", "small"])
+def test_module_entry_point_on_a_closed_pipe(argv, code, stderr, tmp_path):
+    # a reader that closes stdout before the survey writes: the exit code and stderr the entry
+    # gave when it returned main()'s code, with stdout buffered as it is without PYTHONUNBUFFERED
+    path = tmp_path / "ghz8.json"
+    assert main(["build", "ghz", "--n", "8", "--out", str(path)]) == 0
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", "PYTHONIOENCODING")}
+    argv = [arg.format(ghz8=path) for arg in argv]
+    proc = subprocess.Popen([sys.executable, "-m", "bunchent", *argv], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=dict(env, PYTHONUTF8="1"))
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (code, stderr)
+
+
+@pytest.mark.parametrize("flag", ["--n", "--m", "--w", "--max-bunch", "--jobs"])
+@pytest.mark.parametrize("value", ["1_0", "+2", " 3", "\u0661", "3 ", "-", "--1", "0x3", ""])
+def test_integer_options_take_ascii_digits(flag, value, ghz3, capsys):
+    # int() reads all but the last four as numbers; each option refuses them through argparse
+    argv = {"--n": ["build", "ghz"], "--m": ["build", "embedded", "--subset", "1,2", "--w", "1"],
+            "--w": ["build", "bellw", "--n", "3"], "--max-bunch": ["survey", ghz3],
+            "--jobs": ["survey", ghz3]}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: bunchent ")
+    assert err.splitlines()[-1].endswith(f"error: argument {flag}: expects an integer in ASCII digits, got {value!r}")
+
+
+def test_integer_options_leave_range_to_the_command(ghz3, capsys):
+    # a value in ASCII digits, signed or not, meets its command's own message
+    for argv, message in ((["survey", ghz3, "--max-bunch", "0"], "max_bunch must be positive, got 0"),
+                          (["survey", ghz3, "--max-bunch", "-2"], "max_bunch must be positive, got -2"),
+                          (["survey", ghz3, "--jobs", "-1"], "--jobs must be at least 1, got -1"),
+                          (["build", "ghz", "--n", "-3"], "ghz needs at least 2 qubits, got -3")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # and leading zeros read as before
+    assert main(["build", "ghz", "--n", "007"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_qubits"] == 7

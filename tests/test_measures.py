@@ -7,17 +7,20 @@ Frozen reference values:
 """
 
 import cmath
+import io
 import json
 import math
 import platform
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stdout
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bunchent import (
@@ -38,14 +41,16 @@ from bunchent import (
     mix,
     normalize,
     partial_trace,
+    save_state,
     survey,
     survey_csv,
 )
 from bunchent import bunching, measures
 from bunchent.bunching import _pattern_count
-from bunchent.measures import _measure_splits, format_float, report_json_dict, survey_json
+from bunchent.cli import main
+from bunchent.measures import _survey_text, _table, format_float, report_json_dict
 from bunchent.states import MAX_SURVEY_PATTERNS
-from helpers import oracle_blocks, random_gate, random_mixed, random_pure, random_split, spin_flip
+from helpers import label_pairs, measured, oracle_blocks, random_gate, random_mixed, random_pure, random_split, spin_flip
 
 _WERNER_C = 0.25
 _WERNER_EOF = 0.11761887377091781
@@ -262,12 +267,12 @@ def test_batched_splits_match_single_and_reference(seed, n, rank, count):
     with mock.patch.object(
         measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
     ) as chain:
-        rows = _measure_splits(rho, parts)
+        rows = measured(rho, parts)
     assert chain.call_count == 1
     stack = chain.call_args.args[0]
-    assert [_row(r) for r in rows] == [_row(_measure_splits(rho, [p])[0]) for p in parts]
+    assert [_row(r) for r in rows] == [_row(measured(rho, [p])[0]) for p in parts]
     bounds = [0, *sorted(int(x) for x in rng.integers(0, count + 1, size=3)), count]
-    chunked = [r for lo, hi in zip(bounds, bounds[1:]) for r in _measure_splits(rho, parts[lo:hi])]
+    chunked = [r for lo, hi in zip(bounds, bounds[1:]) for r in measured(rho, parts[lo:hi])]
     assert [_row(r) for r in chunked] == [_row(r) for r in rows]
 
     # each row against the stage-by-stage reduction and the eigen route
@@ -282,8 +287,8 @@ def test_batched_splits_match_single_and_reference(seed, n, rank, count):
 
     # a pure state measures to the same bits as its density matrix
     psi = random_pure(rng, n)
-    assert [_row(r) for r in _measure_splits(psi, parts)] == [
-        _row(r) for r in _measure_splits(densify(psi), parts)
+    assert [_row(r) for r in measured(psi, parts)] == [
+        _row(r) for r in measured(densify(psi), parts)
     ]
 
 
@@ -294,13 +299,13 @@ def test_chunked_gather_matches_unchunked(seed, n, pure):
     rng = np.random.default_rng(seed)
     state = random_pure(rng, n) if pure else random_mixed(rng, n)
     parts = [random_split(rng, n) for _ in range(12)]
-    rows = [_row(r) for r in _measure_splits(state, parts)]
-    assert rows == [_row(_measure_splits(state, [p])[0]) for p in parts]
+    rows = [_row(r) for r in measured(state, parts)]
+    assert rows == [_row(measured(state, [p])[0]) for p in parts]
     # a split keeps 2^(k+2) sums, k its union's size, and 2^(n-2) row offsets, so
     # these chunks hold 1 to 7 splits of n qubits and more of smaller unions
     for entries in (1, int(rng.integers(1, 8 << (n + 2)))):
         with mock.patch.object(bunching, "_GATHER_ENTRIES", entries):
-            assert [_row(r) for r in _measure_splits(state, parts)] == rows
+            assert [_row(r) for r in measured(state, parts)] == rows
 
 
 def test_survey_gathers_in_bounded_chunks():
@@ -317,6 +322,23 @@ def test_survey_gathers_in_bounded_chunks():
     assert peak < 16 * 2**20
 
 
+
+def test_cli_survey_keeps_8_bytes_a_pattern():
+    # pure-10, all 28,501 splits: the CLI's survey keeps each of its 1,205,941 pattern weights
+    # in one float64 store (8 B), and per split its label pair, a row of the (S, 4, 4) stack
+    # and its share of the chain's LAPACK temporaries, about 1.5 KB. Reports of Python floats
+    # and one whole text peaked at 114 MB (95 B a pattern) in CSV, 162 MB in JSON.
+    table, peak = _traced(measures._survey_table, random_pure(np.random.default_rng(10), 10), None, False)
+    splits, heads, etas, offsets = table
+    assert etas.dtype == np.float64 and len(etas) == offsets[-1] == _pattern_count(10, None, False)
+    assert peak < 8 * len(etas) + 2048 * len(splits)
+    # its writer holds one piece at a time: three pieces of text peak below 200 B an eta of one
+    k = int(offsets.searchsorted(3 * measures._PIECE_ETAS))
+    part = (splits[:k], heads[:k], etas[:offsets[k]], offsets[:k + 1])
+    for fmt in ("csv", "json"):
+        size, peak = _traced(lambda: sum(map(len, measures._survey_text(part, fmt))))
+        assert size > 2**20 and peak < 200 * measures._PIECE_ETAS
+
 def _traced(call, *args):
     """call(*args) and the peak bytes it allocated, by tracemalloc."""
     tracemalloc.start()
@@ -331,10 +353,10 @@ def test_union_route_bounds_its_gathers():
     # outsider rows of 256 entries (4 MiB) are gathered 128 rows at a time
     psi = random_pure(np.random.default_rng(14), 14)
     parts = [BunchPartition((1, 2), (3, 4)), BunchPartition((1, 3), (2, 4)), BunchPartition((1, 4), (2, 3))]
-    ((_, _, columns, _, index),) = bunching._plan(14, parts)  # one task: one gather
+    ((_, _, columns, _, index),) = bunching._plan(14, label_pairs(parts))  # one task: one gather
     assert index is not None and len(columns[0]) == 4  # 4 member weights: the union's 16 columns
-    rows, peak = _traced(_measure_splits, psi, parts)
-    assert [_row(r) for r in rows] == [_row(_measure_splits(psi, [p])[0]) for p in parts]
+    rows, peak = _traced(measured, psi, parts)
+    assert [_row(r) for r in rows] == [_row(measured(psi, [p])[0]) for p in parts]
     assert peak < 3 * 2**20
     # one pure 16-qubit pair split: 2^14 outsider rows of 16 entries (4 MiB)
     # are gathered 2,048 rows at a time on the per-split route too, so the
@@ -350,7 +372,7 @@ def test_union_route_choice():
     # the union route runs only where two or more splits share a union of
     # at most 7 qubits: never for one split, nor for an 8-qubit full cover
     def routes(n, parts):
-        return {index is not None for *_, index in bunching._plan(n, parts)}
+        return {index is not None for *_, index in bunching._plan(n, label_pairs(parts))}
 
     assert routes(6, [BunchPartition((1, 3), (2, 5))]) == {False}
     assert len(survey(ghz(8), full_cover=True)) == 127
@@ -361,7 +383,7 @@ def test_union_route_choice():
 def test_survey_refuses_patterns_above_the_cap_before_enumerating():
     # a pure 16-qubit survey of every split would keep about 1.9e10 pattern
     # weights; it is refused before a single split is listed
-    with mock.patch.object(measures, "enumerate_partitions", side_effect=AssertionError("enumerated")) as listed:
+    with mock.patch.object(measures, "_split_labels", side_effect=AssertionError("enumerated")) as listed:
         with pytest.raises(CapacityError, match="19062724648 pattern weights exceeds the cap of 16777216"):
             survey(ghz(16))
     listed.assert_not_called()
@@ -504,7 +526,7 @@ def test_survey_csv_layout():
     assert (first[2], first[3]) == ("1", "2")
     assert float(first[4]) == pytest.approx(1.0, abs=1e-11)
     assert ";" in first[6]
-    for writer in (survey_csv, survey_json):
+    for writer in (survey_csv, _table):  # _table: the arrays the JSON writer takes
         with pytest.raises(ValueError, match="partition context"):
             writer([eof(_bell())])
 
@@ -537,7 +559,7 @@ def _survey_reports(draw) -> list[EntanglementReport]:
 @given(reports=_survey_reports())
 def test_survey_json_is_the_json_encoder(reports):
     expected = json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n"
-    assert survey_json(reports) == expected
+    assert "".join(_survey_text(_table(reports), "json")) == expected
 
 
 @given(reports=_survey_reports())
@@ -551,3 +573,37 @@ def test_survey_csv_formats_each_value_as_format_float(reports):
             ";".join(format_float(e) for e in rep.etas),
         ]))
     assert survey_csv(reports) == "\n".join(lines) + "\n"
+
+
+def _cli_survey(path: str, fmt: str, max_bunch: int | None, full_cover: bool) -> str:
+    """What `bunchent survey` prints for these options."""
+    argv = ["survey", path, "--format", fmt, *(["--max-bunch", str(max_bunch)] if max_bunch else []),
+            *(["--full-cover"] if full_cover else [])]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30)
+@given(n=st.integers(3, 7), pure=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_cli_survey_is_the_report_survey(n, pure, seed, data):
+    # at any cap and cover: the CLI's arrays print what the public reports print, each row
+    # holds eof_bunches' bits, and a survey cut into writer pieces prints as one piece
+    max_bunch = data.draw(st.none() | st.integers(1, n), label="max_bunch")
+    full_cover, piece = data.draw(st.booleans(), label="full_cover"), data.draw(st.integers(1, 64), label="piece")
+    rng = np.random.default_rng(seed)
+    state = random_pure(rng, n) if pure else random_mixed(rng, n)
+    reports = survey(state, max_bunch, full_cover)
+    assert [r.partition for r in reports] == enumerate_partitions(n, max_bunch, full_cover)
+    for r in reports:
+        want = eof_bunches(state, r.partition)
+        assert np.array([r.concurrence, r.eof, *r.lambdas, *r.etas]).tobytes() == np.array(
+            [want.concurrence, want.eof, *want.lambdas, *want.etas]).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/state.json"
+        save_state(state, path)
+        texts = [_cli_survey(path, fmt, max_bunch, full_cover) for fmt in ("csv", "json")]
+        assert texts == [survey_csv(reports), json.dumps([report_json_dict(r) for r in reports], indent=2) + "\n"]
+        with mock.patch.object(measures, "_PIECE_ETAS", piece):
+            assert [_cli_survey(path, fmt, max_bunch, full_cover) for fmt in ("csv", "json")] == texts
