@@ -5,22 +5,21 @@ flushed ends the process with `os._exit`, so no module teardown follows the outp
 import gc
 import os
 import sys
+from contextlib import suppress
 
 
 def run() -> int:
-    """Run the CLI and end the process with its exit code; if a flush raises (a reader closed the
-    pipe, say), return the code, and Python's shutdown reports the error as it did before."""
+    """Run the CLI and end the process with its exit code. `main` flushes stdout and reports a failed
+    write, so a flush that fails here again (a reader closed the pipe, say) is not reported twice."""
     gc.disable()
     from .cli import main
     gc.freeze()
     gc.enable()
     code = main()
-    try:
+    with suppress(OSError, ValueError):  # ValueError: a stream closed since
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:  # None: its descriptor was closed when Python started
                 stream.flush()
-    except (OSError, ValueError):  # ValueError: a stream closed since
-        return code
     os._exit(code)
 
 

@@ -271,16 +271,17 @@ def _plan(n: int, splits: list[tuple]):
 
 
 def _split_blocks(state: StateVector | DensityMatrix, splits: list[tuple]):
-    """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4)
-    pattern blocks of its splits and their (S, P) _pattern_weights. Tasks
-    are independent. Each allocates its index table, gather result and
-    reshape in that order, the result after the gather's first block."""
+    """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4) pattern blocks of its
+    splits and their (S, P) _pattern_weights. Tasks are independent. Each allocates its index
+    table, gather result and reshape in that order, the result after the gather's first block,
+    and drops its blocks once resumed, so a caller that drops them too holds one task's at a time."""
     np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
     for members, rows, columns, groups, index in _plan(state.n_qubits, splits):
         blocks = _gather_sums(state, rows, columns, groups)
         # rebound here, so the union's reduced states are freed before the yield
         blocks = blocks.reshape(len(members), -1, 4, 4) if index is None else blocks.reshape(-1)[index]
         yield members, blocks, _pattern_weights(blocks)
+        del blocks
 
 
 def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) -> BunchReduction:

@@ -214,6 +214,8 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         args.run(args)
+        if sys.stdout is not None:  # None: its descriptor was closed when Python started
+            sys.stdout.flush()  # here, so a reader that closed the pipe meets _EXIT_CODES too
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

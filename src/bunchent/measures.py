@@ -7,11 +7,12 @@ square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
 C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
 h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
 decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
-stack of states. A survey keeps its splits and results in arrays: the
-chunks of bunching._split_blocks fill one (S, 4, 4) stack, which one eigh
-and one svd measure, and one flat float64 store of etas. One writer per
-format turns the arrays into CSV or JSON text in pieces of rows; survey's
-reports and survey_csv's text are built from the same arrays.
+stack of states. A survey keeps its splits and results in arrays: each
+task of bunching._split_blocks measures its own (S, 4, 4) stack, by one
+eigh and one svd, into its rows of one (S, 6) table C, EoF, l1..l4, and
+puts its etas in one flat float64 store. One writer per format turns the
+arrays into CSV or JSON text in pieces of rows; survey's reports and
+survey_csv's text are built from the same arrays.
 """
 
 from __future__ import annotations
@@ -62,32 +63,27 @@ def binary_entropy(x: float) -> float:
     return total
 
 
-def _spin_flip_spectrum(mats: np.ndarray) -> np.ndarray:
-    """Descending lambdas, shape (S, 4), of a (S, 4, 4) stack of states."""
+def concurrence(rho) -> float:
+    """Concurrence of a two-qubit density matrix (DensityMatrix or 4x4 array)."""
+    return eof(rho).concurrence
+
+
+def _chain(mats: np.ndarray) -> np.ndarray:
+    """The (S, 6) float64 rows C, EoF, l1..l4 (descending) of a (S, 4, 4) stack of states; eigh,
+    svd and the matmul act per matrix and the rest elementwise, so no row's bits depend on S."""
     w, v = np.linalg.eigh(mats)
     w = np.where(w < _CHAIN_EIG_FLOOR, 0.0, w)
     factor = v * np.sqrt(w)[:, None, :]   # rho = factor @ factor^dagger
     lam = np.linalg.svd(factor.swapaxes(1, 2) @ _SPIN_FLIP @ factor, compute_uv=False)
     # the floor applies to the squares, the eigenvalues of
     # sqrt(rho) flipped(rho) sqrt(rho): lambdas below 1e-7 read as exactly 0
-    return np.where(lam * lam < _CHAIN_EIG_FLOOR, 0.0, lam)
-
-
-def concurrence(rho) -> float:
-    """Concurrence of a two-qubit density matrix (DensityMatrix or 4x4 array)."""
-    return eof(rho).concurrence
-
-
-def _chain(stack: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """The (S,) C, the EoF list and the (S, 4) descending lambdas of a (S, 4, 4) stack of
-    states; C and the entropy argument are taken for the whole stack at once."""
-    lambdas = _spin_flip_spectrum(stack)
+    lam = np.where(lam * lam < _CHAIN_EIG_FLOOR, 0.0, lam)
     # l1 - l2 - l3 - l4 from the left; 0.0 second, since np.maximum(0.0, -0.0)
     # is -0.0 and np.maximum(-0.0, 0.0) is 0.0, as max(0.0, -0.0) is
-    conc = np.maximum(np.minimum(np.subtract.reduce(lambdas, axis=1), 1.0), 0.0)
+    conc = np.maximum(np.minimum(np.subtract.reduce(lam, axis=1), 1.0), 0.0)
     arg = (np.sqrt(1.0 - conc * conc) + 1.0) / 2.0  # conc <= 1, so conc^2 <= 1
     # binary_entropy keeps math.log2, whose bits np.log2 need not match; at 1.0 it gives 0.0
-    return conc, [binary_entropy(x) if x < 1.0 else 0.0 for x in arg.tolist()], lambdas
+    return np.column_stack((conc, [binary_entropy(x) if x < 1.0 else 0.0 for x in arg.tolist()], lam))
 
 
 def eof(rho) -> EntanglementReport:
@@ -96,27 +92,28 @@ def eof(rho) -> EntanglementReport:
         rho = DensityMatrix(2, rho)
     if rho.n_qubits != 2:
         raise ValueError(f"expected a two-qubit state, got {rho.n_qubits} qubits")
-    (c,), (e,), (lambdas,) = _chain(rho.entries[None])
-    return EntanglementReport(c.item(), e, tuple(lambdas.tolist()))
+    ((c, e, *lambdas),) = _chain(rho.entries[None]).tolist()
+    return EntanglementReport(c, e, tuple(lambdas))
 
 
 def _measure_splits(state: StateVector | DensityMatrix, splits: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (heads, etas, offsets) of (bunch A, bunch B) label pairs: the (S, 6) rows C, EoF,
-    l1..l4 of one stack that the chunks of bunching._split_blocks fill, and one flat store
-    that holds split k's 2^(m + n - 2) etas at offsets[k]:offsets[k + 1]."""
+    l1..l4 that each task of bunching._split_blocks fills with its own chain, holding one task's
+    blocks at a time, and one flat store with split k's 2^(m + n - 2) etas at offsets[k]:offsets[k + 1]."""
     offsets = np.cumsum([0, *(1 << len(a) + len(b) - 2 for a, b in splits)])
-    stack, etas = np.empty((len(splits), 4, 4), dtype=np.complex128), np.empty(offsets[-1])
+    heads, etas = np.empty((len(splits), 6)), np.empty(offsets[-1])
     for members, blocks, weights in _split_blocks(state, splits):
-        stack[members] = blocks.sum(axis=1)
+        heads[members] = _chain(blocks.sum(axis=1))
         etas[offsets[members][:, None] + np.arange(weights.shape[1])] = weights
-    return np.column_stack(_chain(stack)), etas, offsets
+        del blocks, weights  # before the next task's gather, which can then reuse their memory
+    return heads, etas, offsets
 
 
 def eof_bunches(state: StateVector | DensityMatrix, partition: BunchPartition) -> EntanglementReport:
     """Reduce onto a bunch pair and measure the resulting two-qubit state."""
     ((_, (blocks,), (etas,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
-    (c,), (e,), (lambdas,) = _chain(blocks.sum(axis=0)[None])
-    return EntanglementReport(c.item(), e, tuple(lambdas.tolist()), partition, tuple(etas.tolist()))
+    ((c, e, *lambdas),) = _chain(blocks.sum(axis=0)[None]).tolist()
+    return EntanglementReport(c, e, tuple(lambdas), partition, tuple(etas.tolist()))
 
 
 def _survey_table(state: StateVector | DensityMatrix, max_bunch: int | None, full_cover: bool) -> tuple:

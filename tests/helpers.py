@@ -4,9 +4,10 @@ The oracles include the reduction's stage-by-stage projector route: a
 plain numpy partial trace (traced_onto), then logical_index,
 build_projector and compress_operator. The package takes both stages,
 partial_trace included, through one gather, and the spin flip through
-one stacked chain. The gate helpers (on_qubits, relabelled) act on a
-state as local unitaries and qubit permutations do. Random builders take
-an explicit numpy Generator so seeds stay visible at the call sites.
+one stacked chain per gather task. The gate helpers (on_qubits,
+relabelled) act on a state as local unitaries and qubit permutations do.
+Random builders take an explicit numpy Generator so seeds stay visible at
+the call sites.
 """
 
 from itertools import product
@@ -27,6 +28,7 @@ from bunchent import (
     mix,
     normalize,
 )
+from bunchent.bunching import _plan
 from bunchent.measures import _SPIN_FLIP, _measure_splits
 
 _LOGICAL_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -116,6 +118,20 @@ def entangled_mixture(rng: np.random.Generator, n_qubits: int, subset: list[int]
 def label_pairs(parts: list[BunchPartition]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Splits as the (bunch A, bunch B) label tuples the survey's internals take."""
     return [(p.bunch_a, p.bunch_b) for p in parts]
+
+
+def chained_states(chain, n_qubits: int, parts: list[BunchPartition]) -> list[np.ndarray]:
+    """Each split's rho_AB as a spy on measures._chain saw it: one call per _plan task of
+    `parts`, in task order, each a (S, 4, 4) stack of its task's members."""
+    tasks = list(_plan(n_qubits, label_pairs(parts)))
+    assert chain.call_count == len(tasks)
+    states = [None] * len(parts)
+    for (members, *_), call in zip(tasks, chain.call_args_list):
+        assert call.args[0].shape == (len(members), 4, 4)
+        for k, rho_ab in zip(members, call.args[0]):
+            states[k] = rho_ab
+    assert all(rho_ab is not None for rho_ab in states)
+    return states
 
 
 def measured(state, parts: list[BunchPartition]) -> list:

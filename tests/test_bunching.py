@@ -31,6 +31,7 @@ from bunchent.bunching import _pattern_count, _pattern_weights, _plan, _split_bl
 from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
 from helpers import (
     build_projector,
+    chained_states,
     compress_operator,
     label_pairs,
     logical_index,
@@ -245,11 +246,11 @@ def test_derived_states_meet_contract(seed, n, rank):
 @example(seed=1, n=6, outsiders=2, pure=True, count=4, shared=True, zeros=True, rows=1)  # zeros, a row per gather
 def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, shared, zeros, rows):
     # printed numbers depend on the order of every sum, so each split's
-    # blocks (from the batch and reduced alone), bunch_reduce's rho_ab and
-    # the survey's stacked rho_ab and etas must equal a one-term-at-a-time
-    # loop to the bit; -0.0 against 0.0 counts. In the batch, splits of one
-    # union take the union route, and `rows` shrinks its gathers so that a
-    # union's rows span several of them.
+    # blocks (from the batch and reduced alone), bunch_reduce's rho_ab, the
+    # rho_ab its task's chain took and the survey's etas must equal a
+    # one-term-at-a-time loop to the bit; -0.0 against 0.0 counts. In the
+    # batch, splits of one union take the union route, and `rows` shrinks
+    # its gathers so that a union's rows span several of them.
     rng = np.random.default_rng(seed)
     if zeros:
         state = sparse_state(rng, n, pure)
@@ -267,7 +268,7 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         splits.append(BunchPartition(tuple(labels[:cut]), tuple(labels[cut:])))
     budget = (rows << 2 * size) if rows else bunching._GATHER_ENTRIES
     with mock.patch.object(
-        measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
+        measures, "_chain", wraps=measures._chain
     ) as chain, mock.patch.object(bunching, "_GATHER_ENTRIES", budget):
         if shared and count > 1:  # every split read from its union's partial trace
             assert all(index is not None for *_, index in _plan(n, label_pairs(splits)))
@@ -276,8 +277,8 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
         for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
             for k, split_blocks in zip(members, blocks):
                 batch[k] = split_blocks
+        stack = chained_states(chain, n, splits)  # one call per task, members in task order
         alone = [next(_split_blocks(state, label_pairs([part])))[1][0] for part in splits]
-    stack = chain.call_args.args[0]
 
     def bits(x):
         return np.ascontiguousarray(x).view(np.int64)

@@ -50,7 +50,8 @@ from bunchent.bunching import _pattern_count
 from bunchent.cli import main
 from bunchent.measures import _survey_text, _table, format_float, report_json_dict
 from bunchent.states import MAX_SURVEY_PATTERNS
-from helpers import label_pairs, measured, oracle_blocks, random_gate, random_mixed, random_pure, random_split, spin_flip
+from helpers import (chained_states, label_pairs, measured, oracle_blocks, random_gate, random_mixed, random_pure,
+                     random_split, spin_flip)
 
 _WERNER_C = 0.25
 _WERNER_EOF = 0.11761887377091781
@@ -259,24 +260,20 @@ def _row(report: EntanglementReport) -> tuple:
     count=st.integers(1, 6),
 )
 def test_batched_splits_match_single_and_reference(seed, n, rank, count):
-    # eof_bunches measures a stack of one and survey all splits at once,
-    # so neither the stack size nor a cut may change a single bit of any row
+    # eof_bunches measures a stack of one and survey each gather task's splits at
+    # once, so neither the stack size nor a cut may change a single bit of any row
     rng = np.random.default_rng(seed)
     rho = random_mixed(rng, n, rank)
     parts = [random_split(rng, n) for _ in range(count)]
-    with mock.patch.object(
-        measures, "_spin_flip_spectrum", wraps=measures._spin_flip_spectrum
-    ) as chain:
+    with mock.patch.object(measures, "_chain", wraps=measures._chain) as chain:
         rows = measured(rho, parts)
-    assert chain.call_count == 1
-    stack = chain.call_args.args[0]
+        stack = chained_states(chain, n, parts)  # one call per task, members in task order
     assert [_row(r) for r in rows] == [_row(measured(rho, [p])[0]) for p in parts]
     bounds = [0, *sorted(int(x) for x in rng.integers(0, count + 1, size=3)), count]
     chunked = [r for lo, hi in zip(bounds, bounds[1:]) for r in measured(rho, parts[lo:hi])]
     assert [_row(r) for r in chunked] == [_row(r) for r in rows]
 
     # each row against the stage-by-stage reduction and the eigen route
-    assert stack.shape == (count, 4, 4)
     for part, row, rho_ab in zip(parts, rows, stack):
         blocks = oracle_blocks(rho, part)
         assert row.partition == part
@@ -325,13 +322,14 @@ def test_survey_gathers_in_bounded_chunks():
 
 def test_cli_survey_keeps_8_bytes_a_pattern():
     # pure-10, all 28,501 splits: the CLI's survey keeps each of its 1,205,941 pattern weights
-    # in one float64 store (8 B), and per split its label pair, a row of the (S, 4, 4) stack
-    # and its share of the chain's LAPACK temporaries, about 1.5 KB. Reports of Python floats
+    # in one float64 store (8 B), and per split its label pair and its (S, 6) row, about 300 B;
+    # the chain measures one gather task at a time, so no whole-survey (S, 4, 4) stack or its
+    # LAPACK temporaries are held (those came to about 1.5 KB a split). Reports of Python floats
     # and one whole text peaked at 114 MB (95 B a pattern) in CSV, 162 MB in JSON.
     table, peak = _traced(measures._survey_table, random_pure(np.random.default_rng(10), 10), None, False)
     splits, heads, etas, offsets = table
     assert etas.dtype == np.float64 and len(etas) == offsets[-1] == _pattern_count(10, None, False)
-    assert peak < 8 * len(etas) + 2048 * len(splits)
+    assert peak < 8 * len(etas) + 512 * len(splits)
     # its writer holds one piece at a time: three pieces of text peak below 200 B an eta of one
     k = int(offsets.searchsorted(3 * measures._PIECE_ETAS))
     part = (splits[:k], heads[:k], etas[:offsets[k]], offsets[:k + 1])
