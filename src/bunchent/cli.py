@@ -211,12 +211,16 @@ def _parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {CapacityError: 3, InvariantError: 4, FileFormatError: 5, OSError: 5, ValueError: 2}
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code with stdout flushed, since the process entry ends
+    with `os._exit`. stderr is line-buffered even when redirected, so an error line needs no flush."""
     args = _parser().parse_args(argv)
+    flush = sys.stdout.flush if sys.stdout is not None else lambda: None  # None: closed at start-up
     try:
         args.run(args)
-        if sys.stdout is not None:  # None: its descriptor was closed when Python started
-            sys.stdout.flush()  # here, so a reader that closed the pipe meets _EXIT_CODES too
+        flush()  # here, so a reader that closed the pipe meets _EXIT_CODES too
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError, ValueError):  # the closed pipe fails again; its error line is out
+            flush()
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     return 0

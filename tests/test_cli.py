@@ -1,5 +1,6 @@
 """End-to-end command tests, run in process through cli.main."""
 
+import gc
 import io
 import json
 import os
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from bunchent import densify, entanglement_molecule, ghz, load_state, save_state
-from bunchent import measures, states
+from bunchent import (BunchPartition, bunch_reduce, densify, entanglement_molecule, eof_bunches, ghz, load_state,
+                      save_state)
+from bunchent import cli, measures, states
 from bunchent.cli import _EXIT_CODES, main
 from bunchent.errors import CapacityError, FileFormatError, InvariantError
 from helpers import random_mixed, random_pure
@@ -624,8 +626,8 @@ def test_out_fails_before_the_survey(ghz3, capsys):
 
 
 def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
-    # survey, reduce and build open --out first; a failure after that removes
-    # a file they created and leaves an existing file's bytes alone
+    # survey, reduce and build open --out first; a failure after that, before they
+    # write, removes a file they created and leaves an existing file's bytes alone
     trace2 = tmp_path / "trace2.json"
     trace2.write_text(json.dumps({"kind": "mixed", "matrix": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}))
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
@@ -642,6 +644,25 @@ def test_failed_command_leaves_out_as_it_was(tmp_path, capsys):
         assert old.read_bytes() == b"kept\n"
     assert main(["build", "ghz", "--n", "2", "--out", str(old)]) == 0
     assert json.loads(old.read_text())["n_qubits"] == 2
+
+
+def test_survey_failing_while_it_writes_out(ghz4, tmp_path, capsys):
+    # a failure after the survey's first piece reached --out: a file the survey created is
+    # removed, and an existing file holds the text written before the failure, not its old bytes
+    first = next(measures._survey_text(measures._survey_table(load_state(ghz4), None, False), "csv"))
+
+    def failing(table, fmt):
+        yield next(measures._survey_text(table, fmt))
+        raise ValueError("injected")
+
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"kept\n")
+    with mock.patch.object(cli, "_survey_text", failing):
+        for out in (new, old):
+            assert main(["survey", ghz4, "--out", str(out)]) == 2
+            assert capsys.readouterr() == ("", "error: injected\n")
+    assert not new.exists()
+    assert old.read_text() == first
 
 
 def test_build_writes_the_bytes_save_state_writes(tmp_path):
@@ -717,19 +738,22 @@ def test_module_entry_point(tmp_path):
     )
     assert run.returncode == 0
     assert run.stdout == "concurrence 1.000000000000\neof 1.000000000000\n"
-    # the entry turns the collector back on after freezing the start-up heap, and ends the
-    # process with os._exit once stdout is flushed (replaced here, so its arguments show)
+    # the entry keeps the collector off until it ends the process with os._exit (replaced
+    # here, so its arguments show), and freezes nothing
     code = ("import gc, json, os, sys\nfrom bunchent.__main__ import run\n"
-            "os._exit = lambda code: print(json.dumps([code, gc.isenabled(), gc.get_freeze_count() > 0]))\n"
+            "os._exit = lambda code: print(json.dumps([code, gc.isenabled(), gc.get_freeze_count()]))\n"
             f"sys.argv = ['bunchent', 'survey', {str(path)!r}, '--out', {str(tmp_path / 's.csv')!r}]\n"
             "run()")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert json.loads(run.stdout) == [0, True, True], run.stderr
-    # and changes no byte or exit code of what main() prints: a survey, a label beyond the state,
-    # a usage error, a capacity error
+    assert json.loads(run.stdout) == [0, False, 0], run.stderr
+    # and changes no byte or exit code of what main() prints, with stdout buffered as it is
+    # without PYTHONUNBUFFERED: a survey, a label beyond the state, a usage error, a capacity
+    # error, and eof's two lines before an --out it cannot write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for argv in (["survey", str(path)], ["eof", str(path), "--a", "1", "--b", "9"],
-                 ["survey", str(path), "--format", "xml"], ["build", "ghz", "--n", "17"]):
-        run = subprocess.run([sys.executable, "-m", "bunchent", *argv], capture_output=True, text=True)
+                 ["survey", str(path), "--format", "xml"], ["build", "ghz", "--n", "17"],
+                 ["eof", str(path), "--a", "1", "--b", "2,3", "--out", str(tmp_path / "missing" / "x")]):
+        run = subprocess.run([sys.executable, "-m", "bunchent", *argv], capture_output=True, text=True, env=env)
         assert (run.returncode, run.stdout, run.stderr) == _main_bytes(argv)
     # with no stdout at all (its descriptor closed), a command that writes a file still succeeds
     script = 'exec "$0" -m bunchent survey "$1" --out "$2" >&-'
@@ -737,6 +761,30 @@ def test_module_entry_point(tmp_path):
                          capture_output=True, text=True)
     assert (run.returncode, run.stderr) == (0, "")
     assert (tmp_path / "closed.csv").read_text() == _main_bytes(["survey", str(path)])[1]
+
+
+def test_library_calls_leave_no_cycles(tmp_path):
+    # the process entry keeps the collector off until os._exit, which wastes no memory only while
+    # the library leaves no reference cycles: surveys on both reduction routes through both writers,
+    # then a reduction, a measure and a load of a mixed file (not main(): argparse's parser holds
+    # cycles of its own, built once a process)
+    rng = np.random.default_rng(7)
+    mixed, pure = random_mixed(rng, 7), random_pure(rng, 10)
+    save_state(mixed, tmp_path / "mixed7.json")
+    pair = BunchPartition((2, 7), (5, 1, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        for state, max_bunch in ((mixed, None), (pure, 2)):
+            table = measures._survey_table(state, max_bunch, False)
+            for fmt in ("csv", "json"):
+                assert "".join(measures._survey_text(table, fmt))
+        bunch_reduce(mixed, pair)
+        eof_bunches(mixed, pair)
+        load_state(tmp_path / "mixed7.json")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("argv, code, stderr", [
