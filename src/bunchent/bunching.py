@@ -19,14 +19,17 @@ any qubit count. partial_trace, the first stage, gathers the outsiders'
 rows against the kept qubits' columns. Splits travel as (bunch A, bunch B)
 label tuples, which _split_labels lists in enumerate_partitions' order.
 _plan reads labels alone, sizes tasks by the sums and row offsets they keep,
-and owns the route rule: two or more splits that share a union of k <= 7
-qubits (4^k <= 2^15) read their blocks at _union_positions from the union's
-partial trace; every other split gathers its flip and outsider rows
+and owns the route rule: two or more splits that share a union of k qubits
+read their blocks at _union_positions from the union's partial trace if
+4^k <= 2^15 (k <= 7), or if k <= 9 with two outsiders or more, as a task
+alone whose 4^k sums exceed _GATHER_ENTRIES while each gather block stays
+within it; every other split gathers its flip and outsider rows
 (_split_weights) against its four columns, to the same bits. _split_blocks
 runs the plan for bunch_reduce, eof_bunches and survey after a freed 1 MiB
 block lifts glibc's mmap and trim thresholds, so chunk temporaries stay in
-the heap, and yields each task's blocks and etas as arrays. The projector
-route is a test reference; data is checked where it enters.
+the heap, and yields each task's blocks, etas and rho_AB as arrays: it alone
+sums the pattern blocks. The projector route is a test reference; data is
+checked where it enters.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .states import _ETA_FLOOR, DensityMatrix, StateVector, _check_cap, _freeze, _Record, _trusted
+from .errors import CapacityError
+from .states import _ETA_FLOOR, MAX_SURVEY_PATTERNS, DensityMatrix, StateVector, _check_cap, _freeze, _Record, _trusted
 
 
 class _Value(_Record):
@@ -236,8 +240,9 @@ def _plan(n: int, splits: list[tuple]):
     per task (members, rows, columns, groups, index), its indices into `splits`,
     _gather_sums' arguments and its (S, P, 4, 4) block positions on the union
     route, else None. A task takes as many items (unions or splits) as keep its sums
-    and its row offsets each within _GATHER_ENTRIES, and leaves the terms it forms
-    to _gather_sums. A label beyond n raises at the first next()."""
+    and its row offsets each within _GATHER_ENTRIES, or one: an 8- or 9-qubit union
+    keeps its 4^k sums, above it. _gather_sums keeps the terms it forms within it.
+    A label beyond n raises at the first next()."""
     unions: dict[tuple[int, ...], list[int]] = {}
     for k, (a, b) in enumerate(splits):
         union = tuple(sorted(a + b))
@@ -246,7 +251,9 @@ def _plan(n: int, splits: list[tuple]):
         unions.setdefault(union, []).append(k)
     tasks: dict[tuple[bool, int], list] = {}  # (union route?, union size): its unions, or its splits
     for union, indices in unions.items():
-        shared = len(indices) > 1 and 4 ** len(union) <= _GATHER_ENTRIES
+        # up to 4^9 sums in a task of their own with two outsiders or more: a pure full cover is faster per split,
+        # and with one outsider a 9-qubit union's task (about 17 MB) would outweigh a pure-10 survey's weights
+        shared = len(indices) > 1 and (4 ** len(union) <= _GATHER_ENTRIES or len(union) <= min(9, n - 2))
         tasks.setdefault((shared, len(union)), []).extend([union] if shared else indices)
     for (shared, size), items in tasks.items():
         sums, offsets = (4 ** size, 1 << n - size) if shared else (4 << size, 1 << n - 2)  # of one item; a split: 16 a pattern
@@ -271,16 +278,16 @@ def _plan(n: int, splits: list[tuple]):
 
 
 def _split_blocks(state: StateVector | DensityMatrix, splits: list[tuple]):
-    """Each _plan task gathered: (members, blocks, etas), the (S, P, 4, 4) pattern blocks of its
-    splits and their (S, P) _pattern_weights. Tasks are independent. Each allocates its index
-    table, gather result and reshape in that order, the result after the gather's first block,
-    and drops its blocks once resumed, so a caller that drops them too holds one task's at a time."""
+    """Each _plan task gathered: (members, blocks, etas, rho), its splits' (S, P, 4, 4) pattern blocks, (S, P)
+    _pattern_weights and (S, 4, 4) rho_AB, the blocks summed in pattern order here alone. Tasks are independent.
+    Each allocates its index table, gather result and reshape in that order, the result after the gather's first
+    block, and drops its blocks once resumed, so a caller that drops them too holds one task's at a time."""
     np.empty(32 * _GATHER_ENTRIES, dtype=np.uint8)  # the heap lift
     for members, rows, columns, groups, index in _plan(state.n_qubits, splits):
         blocks = _gather_sums(state, rows, columns, groups)
         # rebound here, so the union's reduced states are freed before the yield
         blocks = blocks.reshape(len(members), -1, 4, 4) if index is None else blocks.reshape(-1)[index]
-        yield members, blocks, _pattern_weights(blocks)
+        yield members, blocks, _pattern_weights(blocks), blocks.sum(axis=1)
         del blocks
 
 
@@ -290,12 +297,12 @@ def bunch_reduce(state: StateVector | DensityMatrix, partition: BunchPartition) 
     Patterns whose weight falls below 1e-14 are reported with eta 0 and no
     normalized block.
     """
-    ((_, (blocks,), (etas,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
+    ((_, (blocks,), (etas,), (rho_ab,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
     components = tuple(
         ReductionComponent(p, eta, _trusted(DensityMatrix, n_qubits=2, entries=block / eta) if eta else None)
         for p, block, eta in zip(enumerate_patterns(partition), blocks, etas.tolist())
     )
-    return BunchReduction(partition, _trusted(DensityMatrix, n_qubits=2, entries=blocks.sum(axis=0)), components)
+    return BunchReduction(partition, _trusted(DensityMatrix, n_qubits=2, entries=rho_ab), components)
 
 
 def tripartite_triple(
@@ -327,6 +334,8 @@ def _split_labels(n_qubits: int, max_bunch: int | None, full_cover: bool) -> lis
     cap = n_qubits if max_bunch is None else operator.index(max_bunch)
     if cap < 1:
         raise ValueError(f"max_bunch must be positive, got {max_bunch}")
+    if (count := _split_count(n_qubits, cap, full_cover)) > MAX_SURVEY_PATTERNS:  # every split keeps a weight or more
+        raise CapacityError(f"{count} splits exceed the cap of {MAX_SURVEY_PATTERNS} pattern weights; lower max_bunch")
     labels = tuple(range(1, n_qubits + 1))
     found = []
     for a in _subsets(labels, cap):
@@ -345,15 +354,27 @@ def enumerate_partitions(n_qubits: int, max_bunch: int | None = None, full_cover
     Each pair appears once with the lexicographically smaller bunch first,
     and the list is sorted by (bunch_a, bunch_b). `max_bunch` caps the size
     of either bunch; `full_cover` keeps only pairs covering every qubit.
+    More than MAX_SURVEY_PATTERNS pairs, more than any survey measures, raise
+    CapacityError before one is listed.
     """
     return [_trusted(BunchPartition, bunch_a=a, bunch_b=b) for a, b in _split_labels(n_qubits, max_bunch, full_cover)]
 
 
-def _pattern_count(n_qubits: int, max_bunch: int | None, full_cover: bool) -> int:
-    """The sum of 2^(m + n - 2) over enumerate_partitions(...), from ordered bunch pairs (each split twice)."""
+def _pair_counts(n_qubits: int, max_bunch: int | None, full_cover: bool) -> list[tuple[int, int]]:
+    """(m + n, count) of enumerate_partitions(...)'s ordered bunch pairs of each size pair (each split twice)."""
     n, cap = n_qubits, n_qubits if max_bunch is None else operator.index(max_bunch)
-    return sum(comb(n, a) * comb(n - a, b) << (a + b) for a in range(1, min(cap, n - 1) + 1)
-               for b in range(1, min(cap, n - a) + 1) if not full_cover or a + b == n) >> 3
+    return [(a + b, comb(n, a) * comb(n - a, b)) for a in range(1, min(cap, n - 1) + 1)
+            for b in range(1, min(cap, n - a) + 1) if not full_cover or a + b == n]
+
+
+def _split_count(n_qubits: int, max_bunch: int | None, full_cover: bool) -> int:
+    """len(enumerate_partitions(...)) in closed form: (3^n - 2^(n + 1) + 1) / 2 with no cap or cover."""
+    return sum(count for _, count in _pair_counts(n_qubits, max_bunch, full_cover)) >> 1
+
+
+def _pattern_count(n_qubits: int, max_bunch: int | None, full_cover: bool) -> int:
+    """The sum of 2^(m + n - 2) over enumerate_partitions(...) in closed form."""
+    return sum(count << size for size, count in _pair_counts(n_qubits, max_bunch, full_cover)) >> 3
 
 
 def reduction_report(reduction: BunchReduction) -> dict:

@@ -7,12 +7,14 @@ square roots of the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho). Then
 C = max(0, l1 - l2 - l3 - l4), and the entanglement of formation is
 h((1 + sqrt(1 - C^2)) / 2) with h the binary entropy. Both
 decompositions are LAPACK calls (np.linalg.eigh, np.linalg.svd) on a
-stack of states. A survey keeps its splits and results in arrays: each
-task of bunching._split_blocks measures its own (S, 4, 4) stack, by one
-eigh and one svd, into its rows of one (S, 6) table C, EoF, l1..l4, and
-puts its etas in one flat float64 store. One writer per format turns the
-arrays into CSV or JSON text in pieces of rows; survey's reports and
-survey_csv's text are built from the same arrays.
+stack of states. The states come from bunching._split_blocks, which sums
+each split's pattern blocks into rho_AB; no pattern block is read here. A
+survey keeps its splits and results in arrays: each task's (S, 4, 4)
+rho_AB stack is measured, by one eigh and one svd, into its rows of one
+(S, 6) table C, EoF, l1..l4, and its etas go into one flat float64
+store. One writer per format turns the arrays into CSV or JSON text in
+pieces of rows; survey's reports and survey_csv's text are built from the
+same arrays.
 """
 
 from __future__ import annotations
@@ -98,21 +100,21 @@ def eof(rho) -> EntanglementReport:
 
 def _measure_splits(state: StateVector | DensityMatrix, splits: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (heads, etas, offsets) of (bunch A, bunch B) label pairs: the (S, 6) rows C, EoF,
-    l1..l4 that each task of bunching._split_blocks fills with its own chain, holding one task's
-    blocks at a time, and one flat store with split k's 2^(m + n - 2) etas at offsets[k]:offsets[k + 1]."""
+    l1..l4 that one chain per task fills from its rho_AB out of bunching._split_blocks, holding one
+    task's blocks at a time, and one flat store with split k's 2^(m + n - 2) etas at offsets[k]:offsets[k + 1]."""
     offsets = np.cumsum([0, *(1 << len(a) + len(b) - 2 for a, b in splits)])
     heads, etas = np.empty((len(splits), 6)), np.empty(offsets[-1])
-    for members, blocks, weights in _split_blocks(state, splits):
-        heads[members] = _chain(blocks.sum(axis=1))
+    for members, blocks, weights, rho in _split_blocks(state, splits):
+        heads[members] = _chain(rho)
         etas[offsets[members][:, None] + np.arange(weights.shape[1])] = weights
-        del blocks, weights  # before the next task's gather, which can then reuse their memory
+        del blocks, weights, rho  # before the next task's gather, which can then reuse their memory
     return heads, etas, offsets
 
 
 def eof_bunches(state: StateVector | DensityMatrix, partition: BunchPartition) -> EntanglementReport:
     """Reduce onto a bunch pair and measure the resulting two-qubit state."""
-    ((_, (blocks,), (etas,)),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
-    ((c, e, *lambdas),) = _chain(blocks.sum(axis=0)[None]).tolist()
+    ((_, _, (etas,), rho),) = _split_blocks(state, [(partition.bunch_a, partition.bunch_b)])  # one task
+    ((c, e, *lambdas),) = _chain(rho).tolist()
     return EntanglementReport(c, e, tuple(lambdas), partition, tuple(etas.tolist()))
 
 

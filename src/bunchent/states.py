@@ -412,10 +412,13 @@ def _read_json(fh, path) -> tuple[str, int, np.ndarray]:
     """read_state_file for any JSON layout, through json.load of the binary input `fh` from its
     start, read as UTF-8 text; `path` names it in messages. The array is [re, im] float64."""
     fh.seek(0)
+    text = io.TextIOWrapper(fh, encoding="utf-8")
     try:
-        payload = json.load(io.TextIOWrapper(fh, encoding="utf-8"))
+        payload = json.load(text)
     except (ValueError, RecursionError) as exc:  # bad JSON or bytes, too many digits, too deep
         raise FileFormatError(f"{path}: not valid JSON ({exc})") from None
+    finally:
+        text.detach()  # read_state_file's with block closes the file, not the wrapper's finaliser
     if not isinstance(payload, dict):
         raise FileFormatError(f"{path}: expected a JSON object at top level")
     kind = payload.get("kind")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from bunchent import (
     BunchPartition,
+    CapacityError,
     PatternPair,
     bell_w_state,
     bunch_reduce,
@@ -27,8 +28,8 @@ from bunchent import (
     tripartite_triple,
 )
 from bunchent import bunching, measures
-from bunchent.bunching import _pattern_count, _pattern_weights, _plan, _split_blocks, _union_positions
-from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL
+from bunchent.bunching import _pattern_count, _pattern_weights, _plan, _split_blocks, _split_count, _union_positions
+from bunchent.states import _HERMITIAN_TOL, _PSD_TOL, _TRACE_TOL, MAX_SURVEY_PATTERNS
 from helpers import (
     build_projector,
     chained_states,
@@ -221,8 +222,8 @@ def test_derived_states_meet_contract(seed, n, rank):
             assert np.abs(comp.eta * comp.rho_pattern.entries - block).max() < 1e-13
 
     # a pure state gathers amplitudes, never densified, to the same bits
-    ((_, from_amplitudes, _),) = _split_blocks(psi, label_pairs([part]))
-    ((_, from_entries, _),) = _split_blocks(pure, label_pairs([part]))
+    ((_, from_amplitudes, *_),) = _split_blocks(psi, label_pairs([part]))
+    ((_, from_entries, *_),) = _split_blocks(pure, label_pairs([part]))
     assert from_amplitudes.tobytes() == from_entries.tobytes()
     from_psi, from_rho = bunch_reduce(psi, part), bunch_reduce(pure, part)
     assert from_psi.rho_ab.entries.tobytes() == from_rho.rho_ab.entries.tobytes()
@@ -244,6 +245,9 @@ def test_derived_states_meet_contract(seed, n, rank):
 @example(seed=0, n=7, outsiders=4, pure=True, count=3, shared=True, zeros=False, rows=0)  # 16 rows, one gather
 @example(seed=0, n=7, outsiders=3, pure=False, count=3, shared=True, zeros=False, rows=3)  # 8 rows in gathers of 3
 @example(seed=1, n=6, outsiders=2, pure=True, count=4, shared=True, zeros=True, rows=1)  # zeros, a row per gather
+@example(seed=2, n=10, outsiders=2, pure=True, count=3, shared=True, zeros=False, rows=0)  # a union of 8 beyond 4^7 sums
+@example(seed=3, n=10, outsiders=2, pure=False, count=3, shared=True, zeros=False, rows=0)  # the same, mixed
+@example(seed=4, n=11, outsiders=2, pure=True, count=2, shared=True, zeros=False, rows=0)  # a union of 9: 4^9 sums
 def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, shared, zeros, rows):
     # printed numbers depend on the order of every sum, so each split's
     # blocks (from the batch and reduced alone), bunch_reduce's rho_ab, the
@@ -274,7 +278,7 @@ def test_sums_follow_the_row_order_bit_for_bit(seed, n, outsiders, pure, count, 
             assert all(index is not None for *_, index in _plan(n, label_pairs(splits)))
         reports = measured(state, splits)
         batch = [None] * len(splits)
-        for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
+        for members, blocks, *_ in _split_blocks(state, label_pairs(splits)):
             for k, split_blocks in zip(members, blocks):
                 batch[k] = split_blocks
         stack = chained_states(chain, n, splits)  # one call per task, members in task order
@@ -330,7 +334,7 @@ def test_blocks_of_term_rows_keep_the_bits(seed, k, outsiders, pure, zeros, shar
     unsplit = [next(_split_blocks(state, label_pairs([part])))[1][0] for part in splits]
     with mock.patch.object(bunching, "_GATHER_ENTRIES", split_budget):
         batch = [None] * len(splits)
-        for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
+        for members, blocks, *_ in _split_blocks(state, label_pairs(splits)):
             for m, split_blocks in zip(members, blocks):
                 batch[m] = split_blocks
     for part, got, whole in zip(splits, batch, unsplit):
@@ -364,8 +368,10 @@ def test_plan_routes_and_chunks_every_split(seed, n, pool, count, budget):
     assert sorted(k for members, *_ in tasks for k in members) == list(range(count))
     for members, rows, columns, _, index in tasks:
         size = len(splits[members[0]].labels)
-        for k in members:  # the union route exactly for a shared union of 4^k <= budget entries
-            assert (index is not None) == (sharing[frozenset(splits[k].labels)] > 1 and 4 ** size <= 2 ** budget)
+        for k in members:  # the union route exactly for a shared union of 4^k <= budget entries, or of k <= 9
+            # qubits with two outsiders or more
+            assert (index is not None) == (sharing[frozenset(splits[k].labels)] > 1
+                                           and (4 ** size <= 2 ** budget or size <= min(9, n - 2)))
         if index is not None:
             assert index.shape == (len(members), 1 << (size - 2), 4, 4)
     # an item keeps 2^groups sums of K^2 entries, K = 2^len(columns), and 2^len(rows) row offsets:
@@ -404,7 +410,7 @@ def test_split_blocks_read_the_partial_trace_of_their_union(rng, pure):
     # partial_trace onto its union read at _union_positions, to the bit
     state = random_pure(rng, 6) if pure else random_mixed(rng, 6)
     splits = enumerate_partitions(6, 2)
-    for members, blocks, _ in _split_blocks(state, label_pairs(splits)):
+    for members, blocks, *_ in _split_blocks(state, label_pairs(splits)):
         for k, got in zip(members, blocks):
             union = sorted(splits[k].labels)
             ranks = [tuple(map(union.index, bunch)) for bunch in (splits[k].bunch_a, splits[k].bunch_b)]
@@ -514,15 +520,30 @@ def test_enumerate_partitions_counts_and_order():
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_pattern_count_matches_enumeration(n):
-    # the closed form a survey meets its pattern cap with, before it enumerates
+    # the closed forms a survey meets its pattern cap with, and enumerate_partitions
+    # its split cap, before either enumerates
     for max_bunch in (None, *range(-1, n + 2)):
         for full_cover in (False, True):
-            count = _pattern_count(n, max_bunch, full_cover)
+            count, splits_count = _pattern_count(n, max_bunch, full_cover), _split_count(n, max_bunch, full_cover)
             if n < 2 or (max_bunch is not None and max_bunch < 1):
-                assert count == 0  # enumerate_partitions raises its own error
+                assert count == splits_count == 0  # enumerate_partitions raises its own error
                 continue
             splits = enumerate_partitions(n, max_bunch, full_cover)
             assert count == sum(1 << (p.m + p.n - 2) for p in splits)
+            assert splits_count == len(splits)
+    if n >= 2:
+        assert _split_count(n, None, False) == (3 ** n - 2 ** (n + 1) + 1) // 2
+
+
+def test_enumerate_partitions_refuses_more_splits_than_the_cap_before_listing():
+    # 21,457,825 splits of 16 qubits (about 3.4 GB of partitions) exceed MAX_SURVEY_PATTERNS: each
+    # split keeps a pattern weight or more, so no survey measures them; 15 qubits and capped 17 list
+    assert _split_count(15, None, False) == 7141686 <= MAX_SURVEY_PATTERNS < _split_count(16, None, False)
+    with mock.patch.object(bunching, "_subsets", side_effect=AssertionError("listed")) as listed:
+        with pytest.raises(CapacityError, match="21457825 splits exceed the cap of 16777216 pattern weights"):
+            enumerate_partitions(16)
+    listed.assert_not_called()
+    assert len(enumerate_partitions(17, max_bunch=1)) == 136
 
 
 def test_reduction_report_shape():

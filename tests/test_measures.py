@@ -364,11 +364,22 @@ def test_union_route_bounds_its_gathers():
     for reduce in (eof_bunches, bunch_reduce):
         reduce(psi, BunchPartition((3,), (11,)))
         assert _traced(reduce, psi, BunchPartition((3,), (11,)))[1] < 2 * 2**20
+    # the 255 splits of the union 1-9 of a pure 11-qubit state are one task, the one kind
+    # above _GATHER_ENTRIES: its 4^9 sums (4 MiB), its (255, 128, 4, 4) int64 positions
+    # and the complex blocks read at them are alive at once, and nothing else of that
+    # size. A first call builds the cached positions (another 4.2 MB), not the task.
+    psi = random_pure(np.random.default_rng(11), 11)
+    splits = label_pairs(enumerate_partitions(9, full_cover=True))
+    ((_, _, columns, _, index),) = bunching._plan(11, splits)
+    assert index is not None and len(columns[0]) == 9
+    measures._measure_splits(psi, splits)
+    assert _traced(measures._measure_splits, psi, splits)[1] < 4 ** 9 * 16 + 255 * 128 * 16 * (8 + 16) + 2**20
 
 
 def test_union_route_choice():
     # the union route runs only where two or more splits share a union of
-    # at most 7 qubits: never for one split, nor for an 8-qubit full cover
+    # at most 7 qubits, or of 8 or 9 with two outsiders or more: never for
+    # one split, nor for an 8-qubit full cover or a 9-qubit union of 10
     def routes(n, parts):
         return {index is not None for *_, index in bunching._plan(n, label_pairs(parts))}
 
@@ -376,6 +387,8 @@ def test_union_route_choice():
     assert len(survey(ghz(8), full_cover=True)) == 127
     assert routes(8, enumerate_partitions(8, full_cover=True)) == {False}
     assert routes(6, enumerate_partitions(6, 2)) == {False, True}
+    nine = enumerate_partitions(9, full_cover=True)  # 255 splits of the union 1..9
+    assert (routes(10, nine), routes(11, nine), routes(11, nine[:1])) == ({False}, {True}, {False})
 
 
 def test_survey_refuses_patterns_above_the_cap_before_enumerating():

@@ -4,10 +4,12 @@ The index convention under test: qubit 1 is the most significant bit, so
 |b1 b2 ... bn> sits at index sum b_k 2^(n-k).
 """
 
+import gc
 import io
 import json
 import re
 import tracemalloc
+import warnings
 from itertools import combinations
 from unittest import mock
 
@@ -660,6 +662,22 @@ def test_read_state_file_keeps_the_json_paths_signed_zeros(tmp_path):
         _, _, via_json = read_state_file(path)
     assert array.tobytes() == via_json.tobytes()
     assert not np.signbit(array.imag).any()  # a view of the [re, im] pairs would keep four
+
+
+def test_read_state_file_leaves_no_unclosed_wrapper(tmp_path):
+    # json.load reads through a text wrapper of the binary file: detached once it returns or
+    # raises, it leaves the file to read_state_file's with block, and no finaliser warns
+    good, bad = tmp_path / "indented.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"kind": "pure", "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}, indent=1))
+    bad.write_text('{"kind": "pure", "amplitudes": [[1.0')
+    assert _layout(good) is None and _layout(bad) is None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert read_state_file(good)[:2] == ("pure", 1)
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            read_state_file(bad)
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_read_state_file_memory_is_bounded(tmp_path):
